@@ -106,7 +106,7 @@ class LegacyWriter {
                                   static_cast<std::uint16_t>(buf_.size()));
         }
       }
-      const std::string& label = n.label(i);
+      const std::string_view label = n.label(i);
       u8(static_cast<std::uint8_t>(label.size()));
       bytes({reinterpret_cast<const std::uint8_t*>(label.data()),
              label.size()});

@@ -121,7 +121,7 @@ dns::Name water_torture_query_name(const dns::Name& victim, stats::Rng& rng) {
 
 bool is_attack_query_name(const dns::Name& qname) {
   if (qname.label_count() == 0) return false;
-  const std::string& first = qname.label(0);
+  const std::string_view first = qname.label(0);
   if (first.size() < 2) return false;
   if (first[0] == 'v') {
     for (std::size_t i = 1; i < first.size(); ++i) {

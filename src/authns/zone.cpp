@@ -109,14 +109,7 @@ const RRset* Zone::find_delegation(const Name& name) const {
   const std::size_t apex_labels = origin_.label_count();
   const std::size_t name_labels = name.label_count();
   for (std::size_t depth = apex_labels + 1; depth <= name_labels; ++depth) {
-    // Candidate: the suffix of `name` with `depth` labels.
-    std::vector<std::string> labels;
-    labels.reserve(depth);
-    for (std::size_t i = name_labels - depth; i < name_labels; ++i) {
-      labels.push_back(name.label(i));
-    }
-    const Name candidate = Name::from_labels(std::move(labels));
-    if (const RRset* ns = find(candidate, RRType::NS)) return ns;
+    if (const RRset* ns = find(name.suffix(depth), RRType::NS)) return ns;
   }
   return nullptr;
 }

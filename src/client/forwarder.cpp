@@ -55,11 +55,11 @@ void Forwarder::on_client(const net::Datagram& dgram) {
 
   // Local cache first (when enabled).
   if (config_.cache_entries > 0) {
-    if (auto hit = cache_.get(q.qname, q.qtype, network_.sim().now())) {
+    if (const auto hit = cache_.get(q.qname, q.qtype, network_.sim().now())) {
       ++cache_hits_;
       dns::Message resp = dns::Message::make_response(query);
       resp.header.ra = true;
-      resp.answers = hit->to_records();
+      hit.append_records(resp.answers);
       network_.send(node_, client_ep_, dgram.src,
                     dns::encode_message(resp));
       return;

@@ -68,31 +68,30 @@ void WireWriter::bytes(std::span<const std::uint8_t> b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-bool WireWriter::suffix_matches(std::size_t pos, const Name& n,
-                                std::size_t from) const {
+bool WireWriter::suffix_matches(std::size_t pos,
+                                std::span<const std::uint8_t> tail) const {
   // Walks the already-written bytes; every recorded offset points at a
   // completed name (name() publishes offsets only after the terminator or
   // pointer is written) whose pointers target earlier recorded names, so
-  // the walk terminates without bounds checks.
-  std::size_t j = from;
+  // the walk terminates without bounds checks. `tail` is uncompressed wire
+  // form without its root octet, so it ends exactly where the name does.
+  std::size_t j = 0;
   for (;;) {
     std::uint8_t len = buf_[pos];
     while ((len & 0xc0) == 0xc0) {
       pos = (static_cast<std::size_t>(len & 0x3f) << 8) | buf_[pos + 1];
       len = buf_[pos];
     }
-    if (len == 0) return j == n.label_count();
-    if (j == n.label_count()) return false;
-    const std::string& lab = n.label(j);
-    if (lab.size() != len) return false;
-    for (std::size_t k = 0; k < len; ++k) {
-      if (Name::to_lower(static_cast<char>(buf_[pos + 1 + k])) !=
-          Name::to_lower(lab[k])) {
+    if (len == 0) return j == tail.size();
+    if (j == tail.size() || tail[j] != len) return false;
+    for (std::size_t k = 1; k <= len; ++k) {
+      if (Name::to_lower(static_cast<char>(buf_[pos + k])) !=
+          Name::to_lower(static_cast<char>(tail[j + k]))) {
         return false;
       }
     }
     pos += 1 + std::size_t{len};
-    ++j;
+    j += 1 + std::size_t{len};
   }
 }
 
@@ -121,14 +120,14 @@ std::uint64_t WireWriter::hash_at(std::size_t pos) const {
   return h;
 }
 
-std::uint16_t WireWriter::find_suffix(std::uint64_t h, const Name& n,
-                                      std::size_t from) const {
+std::uint16_t WireWriter::find_suffix(
+    std::uint64_t h, std::span<const std::uint8_t> tail) const {
   if (table_entries_ == 0) return kNoOffset;
   const std::size_t mask = table_.size() - 1;
   for (std::size_t idx = h & mask;; idx = (idx + 1) & mask) {
     const std::uint16_t off = table_[idx];
     if (off == kNoOffset) return kNoOffset;
-    if (suffix_matches(off, n, from)) return off;
+    if (suffix_matches(off, tail)) return off;
   }
 }
 
@@ -157,26 +156,26 @@ void WireWriter::grow_table() {
 }
 
 void WireWriter::name(const Name& n, bool compress) {
+  const std::span<const std::uint8_t> wire = n.wire();
   const std::size_t count = n.label_count();
   if (!compress || count == 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::string& label = n.label(i);
-      u8(static_cast<std::uint8_t>(label.size()));
-      bytes({reinterpret_cast<const std::uint8_t*>(label.data()),
-             label.size()});
-    }
+    bytes(wire);
     u8(0);  // root
     return;
+  }
+  // Where each label starts in the name's flat wire form.
+  std::uint8_t start[kMaxLabelsPerName + 1];
+  start[0] = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    start[i + 1] = static_cast<std::uint8_t>(start[i] + 1 + wire[start[i]]);
   }
   // One backward pass yields the hash of every suffix of the name.
   std::uint64_t suffix_hash[kMaxLabelsPerName + 1];
   suffix_hash[count] = kRootHash;
   for (std::size_t i = count; i-- > 0;) {
-    const std::string& lab = n.label(i);
     suffix_hash[i] = fold_label(
-        suffix_hash[i + 1],
-        label_hash(reinterpret_cast<const std::uint8_t*>(lab.data()),
-                   lab.size()));
+        suffix_hash[i + 1], label_hash(wire.data() + start[i] + 1,
+                                       wire[start[i]]));
   }
   // Stage this name's (hash, offset) pairs locally and publish them only
   // once its terminator (root byte or pointer) is written. Table entries
@@ -190,7 +189,8 @@ void WireWriter::name(const Name& n, bool compress) {
   std::uint16_t pending_off[kMaxLabelsPerName];
   std::size_t pending = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint16_t off = find_suffix(suffix_hash[i], n, i);
+    const std::uint16_t off =
+        find_suffix(suffix_hash[i], wire.subspan(start[i]));
     if (off != kNoOffset) {
       u16(static_cast<std::uint16_t>(kPointerMask | off));
       for (std::size_t j = 0; j < pending; ++j) {
@@ -203,10 +203,7 @@ void WireWriter::name(const Name& n, bool compress) {
       pending_off[pending] = static_cast<std::uint16_t>(buf_.size());
       ++pending;
     }
-    const std::string& label = n.label(i);
-    u8(static_cast<std::uint8_t>(label.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(label.data()),
-           label.size()});
+    bytes(wire.subspan(start[i], start[i + 1] - start[i]));
   }
   u8(0);  // root
   for (std::size_t j = 0; j < pending; ++j) {
@@ -271,7 +268,7 @@ void WireReader::skip(std::size_t n) {
 }
 
 Name WireReader::name() {
-  std::vector<std::string> labels;
+  Name out;
   std::size_t expanded = 1;  // root byte
   std::size_t pos = pos_;
   bool jumped = false;
@@ -305,11 +302,12 @@ Name WireReader::name() {
     if (pos + 1 + len > data_.size()) throw WireError{"truncated label"};
     expanded += 1 + len;
     if (expanded > kMaxNameWireLength) throw WireError{"name too long"};
-    labels.emplace_back(
-        reinterpret_cast<const char*>(data_.data() + pos + 1), len);
+    // Limits are checked above, so appending cannot throw.
+    out.append_label(
+        {reinterpret_cast<const char*>(data_.data() + pos + 1), len});
     pos += 1 + len;
   }
-  return Name::from_labels(std::move(labels));
+  return out;
 }
 
 std::string WireReader::char_string() {

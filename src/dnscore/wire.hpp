@@ -66,16 +66,17 @@ class WireWriter {
   void patch_u16(std::size_t offset, std::uint16_t v);
 
  private:
-  /// Offset of the first occurrence of the suffix, or kNoOffset. `h` is the
-  /// suffix's case-folded hash; matches are confirmed by walking the buffer.
-  [[nodiscard]] std::uint16_t find_suffix(std::uint64_t h, const Name& n,
-                                          std::size_t from) const;
+  /// Offset of the first occurrence of the suffix `tail` (flat wire form
+  /// without the root octet), or kNoOffset. `h` is the suffix's
+  /// case-folded hash; matches are confirmed by walking the buffer.
+  [[nodiscard]] std::uint16_t find_suffix(
+      std::uint64_t h, std::span<const std::uint8_t> tail) const;
   void insert_suffix(std::uint64_t h, std::uint16_t offset);
   void grow_table();
   /// Case-insensitive compare of the name starting at buffer `pos`
-  /// (following pointers) against labels [from..) of `n`.
-  [[nodiscard]] bool suffix_matches(std::size_t pos, const Name& n,
-                                    std::size_t from) const;
+  /// (following pointers) against `tail`.
+  [[nodiscard]] bool suffix_matches(std::size_t pos,
+                                    std::span<const std::uint8_t> tail) const;
   /// Recomputes the suffix hash of the name at buffer `pos` (rehash path).
   [[nodiscard]] std::uint64_t hash_at(std::size_t pos) const;
 

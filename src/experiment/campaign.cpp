@@ -130,7 +130,9 @@ std::vector<VpObservation> run_campaign_shard(
     for (std::size_t k = 0; k < config.queries_per_vp; ++k) {
       const net::SimTime at =
           net::SimTime::origin() + phase + config.interval * double(k);
-      sim.at(at, [&world, st, vp, k, domain, q_sent, q_answered,
+      // `domain` outlives sim.run(); capturing it by reference keeps this
+      // lambda inside EventFn's inline buffer.
+      sim.at(at, [&world, &domain, st, vp, k, q_sent, q_answered,
                   q_unanswered, trace, queries_per_vp] {
         q_sent->add(1, world.sim().now());
         const dns::Name qname = domain.prefixed(

@@ -179,6 +179,9 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
   }
 
   sim.run();
+  // issue_next captures itself; clear it so the cycle does not leak the
+  // shard's state.
+  *issue_next = nullptr;
   return std::move(*out);
 }
 

@@ -15,8 +15,10 @@
 // need no heap at all.
 #pragma once
 
+#include <atomic>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -51,6 +53,7 @@ class EventFn {
       ::new (static_cast<void*>(storage_))
           Fn*(new Fn(std::forward<F>(f)));
       ops_ = &kHeapOps<Fn>;
+      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -77,7 +80,15 @@ class EventFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// Callables that did not fit inline and went to the heap, counted over
+  /// all threads since start. The simulator's hot paths keep this at zero.
+  static std::uint64_t heap_fallbacks() noexcept {
+    return heap_fallbacks_.load(std::memory_order_relaxed);
+  }
+
  private:
+  static inline std::atomic<std::uint64_t> heap_fallbacks_{0};
+
   struct Ops {
     void (*call)(void* storage);
     /// Move-constructs into raw `dst` storage and destroys the source.

@@ -25,21 +25,24 @@ void RecordCache::touch(Slot& slot) {
   lru_.splice(lru_.begin(), lru_, slot.lru_pos);
 }
 
-std::optional<dns::RRset> RecordCache::get(const dns::Name& name,
-                                           dns::RRType type,
-                                           net::SimTime now) {
+void CacheHit::append_records(std::vector<dns::ResourceRecord>& out) const {
+  for (const auto& rd : rrset->rdatas) {
+    out.push_back(dns::ResourceRecord{rrset->name, rrset->rrclass, ttl, rd});
+  }
+}
+
+CacheHit RecordCache::get(const dns::Name& name, dns::RRType type,
+                          net::SimTime now) {
   CacheEntry* e = find_live(name, type, now);
   if (e == nullptr || e->negative) {
     ++misses_;
     if (obs_misses_ != nullptr) obs_misses_->add(1, now);
-    return std::nullopt;
+    return {};
   }
   ++hits_;
   if (obs_hits_ != nullptr) obs_hits_->add(1, now);
-  dns::RRset out = e->rrset;
   const double remaining = (e->expires_at - now).sec();
-  out.ttl = static_cast<dns::Ttl>(std::max(0.0, remaining));
-  return out;
+  return {&e->rrset, static_cast<dns::Ttl>(std::max(0.0, remaining))};
 }
 
 std::optional<dns::Rcode> RecordCache::get_negative(const dns::Name& name,
@@ -92,15 +95,16 @@ void RecordCache::insert(Key key, CacheEntry entry, net::SimTime now) {
     return;
   }
   while (entries_.size() >= config_.max_entries) evict_one(now);
-  lru_.push_front(key);
-  entries_.emplace(std::move(key), Slot{std::move(entry), lru_.begin()});
+  it = entries_.emplace(std::move(key), Slot{std::move(entry), {}}).first;
+  lru_.push_front(&it->first);
+  it->second.lru_pos = lru_.begin();
 }
 
 void RecordCache::evict_one(net::SimTime now) {
   if (lru_.empty()) return;
-  const Key victim = lru_.back();
+  const Key* victim = lru_.back();
   lru_.pop_back();
-  entries_.erase(victim);
+  entries_.erase(entries_.find(*victim));
   ++evictions_;
   if (obs_evictions_ != nullptr) obs_evictions_->add(1, now);
 }

@@ -33,14 +33,25 @@ struct CacheEntry {
   net::SimTime expires_at;
 };
 
+/// A positive lookup's result, borrowed from the cache: the live cached
+/// RRset and the TTL remaining on it. Empty on miss/expired/negative. Valid
+/// until the entry leaves the cache: do not hold it across put,
+/// put_negative, clear, or a later lookup of the same (name, type).
+struct CacheHit {
+  const dns::RRset* rrset = nullptr;
+  dns::Ttl ttl = 0;  // remaining at lookup time; rrset->ttl is the stored one
+
+  explicit operator bool() const noexcept { return rrset != nullptr; }
+  /// Appends the set's records, each carrying the remaining TTL.
+  void append_records(std::vector<dns::ResourceRecord>& out) const;
+};
+
 class RecordCache {
  public:
   explicit RecordCache(RecordCacheConfig config = {}) : config_(config) {}
 
-  /// Positive lookup; the returned RRset's TTL is decremented to the time
-  /// remaining. Returns nullopt on miss/expired/negative.
-  std::optional<dns::RRset> get(const dns::Name& name, dns::RRType type,
-                                net::SimTime now);
+  /// Positive lookup without a copy (see CacheHit for the view's life).
+  CacheHit get(const dns::Name& name, dns::RRType type, net::SimTime now);
 
   /// Negative lookup: returns the stored rcode when a negative entry for
   /// (name, type) is live.
@@ -110,7 +121,7 @@ class RecordCache {
   };
   struct Slot {
     CacheEntry entry;
-    std::list<Key>::iterator lru_pos;
+    std::list<const Key*>::iterator lru_pos;
   };
 
   CacheEntry* find_live(const dns::Name& name, dns::RRType type,
@@ -121,7 +132,9 @@ class RecordCache {
 
   RecordCacheConfig config_;
   std::unordered_map<Key, Slot, KeyHash, KeyEq> entries_;
-  std::list<Key> lru_;  // front = most recent
+  /// Keys of entries_ in recency order, front = most recent. Each points
+  /// at its map node's key, which stays put until that entry is erased.
+  std::list<const Key*> lru_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

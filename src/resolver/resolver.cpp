@@ -17,17 +17,6 @@ constexpr net::Port kUpstreamPort = 10'053;
 /// carries a fresh random subdomain.
 constexpr std::size_t kQnameCompactMin = 4096;
 
-/// The suffix of `name` keeping `depth` labels.
-dns::Name suffix_of(const dns::Name& name, std::size_t depth) {
-  std::vector<std::string> labels;
-  labels.reserve(depth);
-  const std::size_t total = name.label_count();
-  for (std::size_t i = total - depth; i < total; ++i) {
-    labels.push_back(name.label(i));
-  }
-  return dns::Name::from_labels(std::move(labels));
-}
-
 }  // namespace
 
 struct RecursiveResolver::Job {
@@ -133,6 +122,23 @@ void RecursiveResolver::compact_qnames() {
     out.qname_ref = fresh.intern(out.qname);
   }
   qnames_ = std::move(fresh);
+  by_qname_.assign(qnames_.size(), {});
+  for (const auto& [txkey, out] : outstanding_) {
+    track_outstanding(out.qname_ref, txkey);
+  }
+}
+
+void RecursiveResolver::track_outstanding(dns::NameRef ref,
+                                          std::uint64_t txkey) {
+  if (by_qname_.size() <= ref.value) by_qname_.resize(ref.value + 1);
+  QnameOutstanding& slot = by_qname_[ref.value];
+  slot.txkey = slot.count++ == 0 ? txkey : 0;
+}
+
+void RecursiveResolver::untrack_outstanding(dns::NameRef ref) noexcept {
+  QnameOutstanding& slot = by_qname_[ref.value];
+  --slot.count;
+  slot.txkey = 0;  // gone, or the survivor is unknown
 }
 
 void RecursiveResolver::resolve(const dns::Question& q, ResolveCallback cb) {
@@ -360,15 +366,16 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
   const net::SimTime now = network_.sim().now();
   // Deepest cached NS set with at least one resolvable address wins.
   for (std::size_t depth = qname.label_count(); depth > 0; --depth) {
-    const dns::Name candidate = suffix_of(qname, depth);
-    auto ns_set = cache_.get(candidate, dns::RRType::NS, now);
+    const dns::Name candidate = qname.suffix(depth);
+    const CacheHit ns_set = cache_.get(candidate, dns::RRType::NS, now);
     if (!ns_set) continue;
     std::vector<net::IpAddress> addrs;
-    for (const auto& rd : ns_set->rdatas) {
+    for (const auto& rd : ns_set.rrset->rdatas) {
       const auto& ns_name = std::get<dns::NsRdata>(rd).nsdname;
       if (config_.family != AddressFamily::V4Only) {
-        if (auto aaaa_set = cache_.get(ns_name, dns::RRType::AAAA, now)) {
-          for (const auto& ard : aaaa_set->rdatas) {
+        if (const CacheHit aaaa =
+                cache_.get(ns_name, dns::RRType::AAAA, now)) {
+          for (const auto& ard : aaaa.rrset->rdatas) {
             if (auto addr = net::IpAddress::from_mapped_ipv6(
                     std::get<dns::AaaaRdata>(ard).address)) {
               addrs.push_back(*addr);
@@ -377,8 +384,8 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
         }
       }
       if (config_.family != AddressFamily::V6Only) {
-        if (auto a_set = cache_.get(ns_name, dns::RRType::A, now)) {
-          for (const auto& ard : a_set->rdatas) {
+        if (const CacheHit a = cache_.get(ns_name, dns::RRType::A, now)) {
+          for (const auto& ard : a.rrset->rdatas) {
             addrs.push_back(std::get<dns::ARdata>(ard).address);
           }
         }
@@ -413,25 +420,24 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
       finish(job, *neg);
       return;
     }
-    if (auto set = cache_.get(job->current_name, job->original.qtype, now)) {
+    if (const CacheHit set =
+            cache_.get(job->current_name, job->original.qtype, now)) {
       if (trace_->enabled()) {
         trace_->record({now, obs::TraceKind::CacheHit, config_.name,
                         job->current_name.to_string(),
                         std::string{dns::to_string(job->original.qtype)},
                         0.0});
       }
-      for (auto& rr : set->to_records()) job->chain.push_back(std::move(rr));
+      set.append_records(job->chain);
       finish(job, dns::Rcode::NoError);
       return;
     }
     if (job->original.qtype != dns::RRType::CNAME) {
-      if (auto cname = cache_.get(job->current_name, dns::RRType::CNAME,
-                                  now)) {
-        for (auto& rr : cname->to_records()) {
-          job->chain.push_back(std::move(rr));
-        }
+      if (const CacheHit cname = cache_.get(job->current_name,
+                                            dns::RRType::CNAME, now)) {
+        cname.append_records(job->chain);
         job->current_name =
-            std::get<dns::CnameRdata>(cname->rdatas.front()).target;
+            std::get<dns::CnameRdata>(cname.rrset->rdatas.front()).target;
         job->min_labels = 0;  // restart minimization for the new target
         if (++job->indirections > config_.max_indirections) {
           finish(job, dns::Rcode::ServFail);
@@ -561,7 +567,7 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
     const std::size_t depth =
         std::max(zone.label_count() + 1, job->min_labels);
     if (depth < job->current_name.label_count()) {
-      query_name = suffix_of(job->current_name, depth);
+      query_name = job->current_name.suffix(depth);
       query_type = dns::RRType::NS;
       minimized = true;
     }
@@ -601,6 +607,7 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
   out.server_port = dst.port;
   out.timeout_event = network_.sim().after(
       timeout, [this, txkey] { on_upstream_timeout(txkey); });
+  track_outstanding(out.qname_ref, txkey);
   outstanding_.emplace(txkey, std::move(out));
 
   auto wire = dns::encode_message(query);
@@ -640,6 +647,7 @@ void RecursiveResolver::on_upstream_timeout(std::uint64_t txkey) {
   if (it == outstanding_.end()) return;
   Outstanding out = std::move(it->second);
   outstanding_.erase(it);
+  untrack_outstanding(out.qname_ref);
   release_zone_slot(out.zone);
   ++upstream_timeouts_;
   const net::SimTime now = network_.sim().now();
@@ -674,17 +682,25 @@ void RecursiveResolver::on_upstream_datagram(const net::Datagram& dgram) {
   // candidate.
   const auto ref = qnames_.find(resp.question().qname);
   if (!ref) return;  // we never asked for this name: late or spoofed
-  const auto match = std::find_if(
-      outstanding_.begin(), outstanding_.end(), [&](const auto& kv) {
-        const Outstanding& o = kv.second;
-        return o.txid == resp.header.id && o.server == dgram.src.addr &&
-               o.server_port == dgram.src.port &&
-               o.qtype == resp.question().qtype && o.qname_ref == *ref;
-      });
+  const auto matches = [&](const Outstanding& o) {
+    return o.txid == resp.header.id && o.server == dgram.src.addr &&
+           o.server_port == dgram.src.port &&
+           o.qtype == resp.question().qtype && o.qname_ref == *ref;
+  };
+  const QnameOutstanding& slot = by_qname_[ref->value];
+  auto match = outstanding_.end();
+  if (slot.txkey != 0) {
+    const auto it = outstanding_.find(slot.txkey);
+    if (matches(it->second)) match = it;
+  } else if (slot.count > 0) {
+    match = std::find_if(outstanding_.begin(), outstanding_.end(),
+                         [&](const auto& kv) { return matches(kv.second); });
+  }
   if (match == outstanding_.end()) return;  // late or spoofed: ignore
 
   Outstanding out = std::move(match->second);
   outstanding_.erase(match);
+  untrack_outstanding(out.qname_ref);
   release_zone_slot(out.zone);
   network_.sim().cancel(out.timeout_event);
 

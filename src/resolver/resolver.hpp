@@ -236,6 +236,10 @@ class RecursiveResolver {
   /// qname_refs. Keeps the intern table bounded under high-cardinality
   /// (random-subdomain) workloads where names never repeat.
   void compact_qnames();
+  /// Counts a transmission of `ref` in by_qname_ (on send) or drops it
+  /// (when it leaves outstanding_).
+  void track_outstanding(dns::NameRef ref, std::uint64_t txkey);
+  void untrack_outstanding(dns::NameRef ref) noexcept;
   void handle_response(const std::shared_ptr<Job>& job,
                        const dns::Message& resp, const Outstanding& out);
   void finish(const std::shared_ptr<Job>& job, dns::Rcode rcode);
@@ -305,6 +309,16 @@ class RecursiveResolver {
   /// looked up once and matched against outstanding ids (a miss means no
   /// query of ours ever asked that name — drop, like a failed scan would).
   dns::NameTable qnames_;
+  /// Outstanding transmissions per qnames_ id, so a response reaches its
+  /// one candidate without scanning outstanding_. `txkey` is that
+  /// candidate while exactly one transmission carries the id, else 0; ids
+  /// shared by several transmissions (or whose survivor is unknown after
+  /// an erase) fall back to the scan, which keeps its first-match order.
+  struct QnameOutstanding {
+    std::uint64_t txkey = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<QnameOutstanding> by_qname_;
 
   // Query coalescing: (qname,type) -> job waiting upstream. Lookups and
   // erases go through the borrowed PendingView so the per-query fast path

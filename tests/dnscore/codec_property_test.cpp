@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "dnscore/codec.hpp"
+#include "name_gen.hpp"
 
 namespace recwild::dns {
 namespace {
@@ -28,51 +29,15 @@ Bytes to_bytes(std::span<const std::uint8_t> s) {
   return Bytes{s.begin(), s.end()};
 }
 
-class Gen {
+class Gen : public NameGen {
  public:
-  explicit Gen(std::uint64_t seed) : rng_(seed) {}
+  using NameGen::NameGen;
 
   std::uint32_t u32() { return static_cast<std::uint32_t>(rng_()); }
   std::uint16_t u16() { return static_cast<std::uint16_t>(rng_()); }
   std::uint8_t u8() { return static_cast<std::uint8_t>(rng_()); }
-  std::size_t below(std::size_t n) { return rng_() % n; }
   bool chance(double p) {
     return std::uniform_real_distribution<>{0.0, 1.0}(rng_) < p;
-  }
-
-  /// A label of 1..12 chars, mixed case so compression must match
-  /// case-insensitively.
-  std::string label() {
-    static const char* kChars =
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_";
-    const std::size_t len = 1 + below(12);
-    std::string out;
-    out.reserve(len);
-    for (std::size_t i = 0; i < len; ++i) out.push_back(kChars[below(64)]);
-    return out;
-  }
-
-  /// Random name drawn from a handful of shared suffix families, so the
-  /// encoder's compression table gets real hits across sections.
-  Name name() {
-    static const std::vector<std::vector<std::string>> kSuffixes = {
-        {"example", "nl"},
-        {"Example", "NL"},
-        {"ns", "ourtestdomain", "nl"},
-        {"a", "very", "deep", "suffix", "chain", "test"},
-        {},  // the root
-    };
-    std::vector<std::string> labels = kSuffixes[below(kSuffixes.size())];
-    const std::size_t extra = below(3);
-    for (std::size_t i = 0; i < extra; ++i) {
-      std::string l = label();
-      // Stay inside the 255-octet wire limit.
-      std::size_t total = 1;
-      for (const auto& s : labels) total += 1 + s.size();
-      if (total + 1 + l.size() > 250) break;
-      labels.insert(labels.begin(), std::move(l));
-    }
-    return Name::from_labels(std::move(labels));
   }
 
   Rdata rdata(int kind) {
@@ -185,9 +150,6 @@ class Gen {
     }
     return m;
   }
-
- private:
-  std::mt19937_64 rng_;
 };
 
 TEST(CodecProperty, EncodeDecodeEncodeIsByteIdentical) {

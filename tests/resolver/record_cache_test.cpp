@@ -30,8 +30,8 @@ TEST(RecordCache, HitReturnsStoredSet) {
   cache.put(a_set("x.nl", 300), at_s(0));
   const auto hit = cache.get(dns::Name::parse("x.nl"), dns::RRType::A,
                              at_s(1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->size(), 1u);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.rrset->size(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -40,17 +40,16 @@ TEST(RecordCache, TtlCountsDown) {
   cache.put(a_set("x.nl", 300), at_s(0));
   const auto hit = cache.get(dns::Name::parse("x.nl"), dns::RRType::A,
                              at_s(100));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->ttl, 200u);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.ttl, 200u);
+  EXPECT_EQ(hit.rrset->ttl, 300u);  // the stored set is not rewritten
 }
 
 TEST(RecordCache, ExpiresAtTtl) {
   RecordCache cache;
   cache.put(a_set("x.nl", 300), at_s(0));
-  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(299))
-                  .has_value());
-  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(300))
-                   .has_value());
+  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(299)));
+  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(300)));
   EXPECT_EQ(cache.size(), 0u);  // expired entry evicted on access
 }
 
@@ -65,11 +64,11 @@ TEST(RecordCache, PeekAndGetAgreeOnTheExpiryBoundary) {
   cache.put(a_set("x.nl", 300), at_s(0));
   const dns::Name name = dns::Name::parse("x.nl");
   EXPECT_NE(cache.peek(name, dns::RRType::A, at_s(299)), nullptr);
-  EXPECT_TRUE(cache.get(name, dns::RRType::A, at_s(299)).has_value());
+  EXPECT_TRUE(cache.get(name, dns::RRType::A, at_s(299)));
   // peek first (metrics/LRU-neutral, so it cannot evict), then get.
   cache.put(a_set("x.nl", 300), at_s(0));
   EXPECT_EQ(cache.peek(name, dns::RRType::A, at_s(300)), nullptr);
-  EXPECT_FALSE(cache.get(name, dns::RRType::A, at_s(300)).has_value());
+  EXPECT_FALSE(cache.get(name, dns::RRType::A, at_s(300)));
 }
 
 TEST(RecordCache, PeekIsMetricsAndLruNeutral) {
@@ -88,22 +87,19 @@ TEST(RecordCache, TtlClampedToMax) {
   cfg.max_ttl = 100;
   RecordCache cache{cfg};
   cache.put(a_set("x.nl", 999'999), at_s(0));
-  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(101))
-                   .has_value());
+  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(101)));
 }
 
 TEST(RecordCache, KeyIncludesType) {
   RecordCache cache;
   cache.put(a_set("x.nl", 300), at_s(0));
-  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::TXT, at_s(1))
-                   .has_value());
+  EXPECT_FALSE(cache.get(dns::Name::parse("x.nl"), dns::RRType::TXT, at_s(1)));
 }
 
 TEST(RecordCache, KeyIsCaseInsensitive) {
   RecordCache cache;
   cache.put(a_set("X.NL", 300), at_s(0));
-  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(1))
-                  .has_value());
+  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(1)));
 }
 
 TEST(RecordCache, OverwriteReplacesEntry) {
@@ -112,8 +108,8 @@ TEST(RecordCache, OverwriteReplacesEntry) {
   cache.put(a_set("x.nl", 300, 2), at_s(1));
   const auto hit =
       cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(2));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(std::get<dns::ARdata>(hit->rdatas[0]).address,
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(std::get<dns::ARdata>(hit.rrset->rdatas[0]).address,
             net::IpAddress{2});
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -130,10 +126,8 @@ TEST(RecordCache, LruEvictionAtCapacity) {
   cache.put(a_set("d.nl", 300), at_s(2));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.get(dns::Name::parse("a.nl"), dns::RRType::A, at_s(3))
-                  .has_value());
-  EXPECT_FALSE(cache.get(dns::Name::parse("b.nl"), dns::RRType::A, at_s(3))
-                   .has_value());
+  EXPECT_TRUE(cache.get(dns::Name::parse("a.nl"), dns::RRType::A, at_s(3)));
+  EXPECT_FALSE(cache.get(dns::Name::parse("b.nl"), dns::RRType::A, at_s(3)));
 }
 
 TEST(RecordCache, NegativeEntriesStoreRcode) {
@@ -146,8 +140,7 @@ TEST(RecordCache, NegativeEntriesStoreRcode) {
   EXPECT_EQ(*neg, dns::Rcode::NxDomain);
   // A negative entry is not a positive hit.
   EXPECT_FALSE(cache.get(dns::Name::parse("gone.nl"), dns::RRType::A,
-                         at_s(1))
-                   .has_value());
+                         at_s(1)));
 }
 
 TEST(RecordCache, NegativeEntriesExpire) {
@@ -173,8 +166,7 @@ TEST(RecordCache, PositiveOverwritesNegative) {
   cache.put_negative(dns::Name::parse("x.nl"), dns::RRType::A,
                      dns::Rcode::NxDomain, 60, at_s(0));
   cache.put(a_set("x.nl", 300), at_s(1));
-  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(2))
-                  .has_value());
+  EXPECT_TRUE(cache.get(dns::Name::parse("x.nl"), dns::RRType::A, at_s(2)));
   EXPECT_FALSE(cache.get_negative(dns::Name::parse("x.nl"), dns::RRType::A,
                                   at_s(2))
                    .has_value());
@@ -186,8 +178,7 @@ TEST(RecordCache, ClearEmptiesEverything) {
   cache.put(a_set("b.nl", 300), at_s(0));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get(dns::Name::parse("a.nl"), dns::RRType::A, at_s(1))
-                   .has_value());
+  EXPECT_FALSE(cache.get(dns::Name::parse("a.nl"), dns::RRType::A, at_s(1)));
 }
 
 }  // namespace

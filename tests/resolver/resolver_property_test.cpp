@@ -3,16 +3,28 @@
 // answering (or SERVFAILing gracefully, never hanging or crashing).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "authns/server.hpp"
 #include "resolver/resolver.hpp"
 
 namespace recwild::resolver {
 namespace {
 
+// gtest names each case with a byte dump of its parameter, and ctest
+// registers that dump as part of the test name. Implicit padding would leak
+// uninitialised stack bytes (ASLR-randomised pointers) into the name, so the
+// padding is spelled out and zeroed to keep names identical across builds.
 struct SweepParam {
+  SweepParam(PolicyKind p, double l) : policy{p}, loss{l} {}
   PolicyKind policy;
+  std::array<std::uint8_t, sizeof(double) - sizeof(PolicyKind)> zero_pad{};
   double loss;
 };
+static_assert(sizeof(SweepParam) == 2 * sizeof(double),
+              "SweepParam must keep no implicit padding");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name{to_string(info.param.policy)};

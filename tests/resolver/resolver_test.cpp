@@ -180,6 +180,57 @@ TEST(Resolver, InternedQnameTableStaysBounded) {
   EXPECT_EQ(world.resolver->interned_qnames(), 0u);
 }
 
+/// Starts one resolution per name at once and runs the simulation; returns
+/// how many finished with NOERROR and a TXT answer.
+int resolve_together(MiniInternet& world,
+                     const std::vector<std::string>& qnames) {
+  int ok = 0;
+  for (const auto& q : qnames) {
+    world.resolver->resolve(
+        dns::Question{dns::Name::parse(q), dns::RRType::TXT,
+                      dns::RRClass::IN},
+        [&](const ResolveOutcome& o) {
+          if (o.rcode == dns::Rcode::NoError && !txt_of(o).empty()) ++ok;
+        });
+  }
+  world.sim.run();
+  return ok;
+}
+
+TEST(Resolver, MatchesResponsesWhenInflightQueriesShareAQname) {
+  // With QNAME minimisation every cold job asks the root and the TLD the
+  // same minimised question, so several transmissions share one qname id
+  // and each response must still find its own query (a miss would show as
+  // a timeout and a retransmission).
+  ResolverConfig cfg;
+  cfg.qname_minimization = true;
+  MiniInternet world{cfg};
+  std::vector<std::string> qnames;
+  for (int i = 0; i < 8; ++i) {
+    qnames.push_back("m" + std::to_string(i) + ".test.nl");
+  }
+  EXPECT_EQ(resolve_together(world, qnames), 8);
+  EXPECT_EQ(world.resolver->upstream_timeouts(), 0u);
+  EXPECT_EQ(world.root->queries_received(), 8u);
+}
+
+TEST(Resolver, MatchesResponsesAcrossQnameTableCompaction) {
+  // Three fresh names in flight per round: the interned-qname table
+  // reaches its compaction threshold (4096) at the second send of round
+  // 1365, so it is compacted and renumbered while the first query is
+  // outstanding, and that query's response must still match.
+  MiniInternet world;
+  int ok = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const std::string n = std::to_string(i);
+    ok += resolve_together(world, {"a" + n + ".test.nl", "b" + n + ".test.nl",
+                                   "c" + n + ".test.nl"});
+  }
+  EXPECT_EQ(ok, 4500);
+  EXPECT_EQ(world.resolver->upstream_timeouts(), 0u);
+  EXPECT_LT(world.resolver->interned_qnames(), 1000u);  // it was compacted
+}
+
 TEST(Resolver, AnswersFromCacheWithoutUpstream) {
   MiniInternet world;
   (void)world.resolve("fixed.test.nl", dns::RRType::A);

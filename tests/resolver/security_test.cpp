@@ -119,12 +119,9 @@ TEST(Security, OutOfBailiwickRecordsNotCached) {
 
   // ...but the poison must NOT be in the cache: the A record for the
   // victim and the NS claim for its zone were outside the queried zone.
-  EXPECT_FALSE(res.cache()
-                   .get(victim, dns::RRType::A, sim.now())
-                   .has_value());
-  EXPECT_FALSE(res.cache()
-                   .get(victim.parent(), dns::RRType::NS, sim.now())
-                   .has_value());
+  EXPECT_FALSE(res.cache().get(victim, dns::RRType::A, sim.now()));
+  EXPECT_FALSE(
+      res.cache().get(victim.parent(), dns::RRType::NS, sim.now()));
 }
 
 TEST(Security, MismatchedResponsesIgnored) {
@@ -207,8 +204,9 @@ TEST(Security, MismatchedResponsesIgnored) {
   const auto cached =
       res.cache().get(dns::Name::parse("target.test"), dns::RRType::TXT,
                       sim.now());
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(std::get<dns::TxtRdata>(cached->rdatas[0]).strings[0], "legit");
+  ASSERT_TRUE(cached);
+  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->rdatas[0]).strings[0],
+            "legit");
 }
 
 TEST(Security, LateResponseAfterTimeoutIgnored) {
@@ -261,10 +259,8 @@ TEST(Security, LateResponseAfterTimeoutIgnored) {
   EXPECT_GE(res.upstream_timeouts(), 3u);
   // The late answers arrived and were dropped without crashing; the
   // record was NOT cached from a dead transaction.
-  EXPECT_FALSE(res.cache()
-                   .get(dns::Name::parse("slow.test"), dns::RRType::TXT,
-                        sim.now())
-                   .has_value());
+  EXPECT_FALSE(res.cache().get(dns::Name::parse("slow.test"),
+                               dns::RRType::TXT, sim.now()));
 }
 
 
