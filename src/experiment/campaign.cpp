@@ -26,53 +26,218 @@ double wall_seconds(WallClock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-/// Schedules the attack traffic of world.config().attack for the bot VPs
-/// this shard owns. Bots are the `bots` lowest-index VPs of each event — a
-/// global, partition-independent set — and every attack qname is drawn at
-/// scheduling time from an RNG forked per (event, bot, query), so the
-/// stream a bot fires is byte-identical at any shard count.
-void schedule_attack_traffic(Testbed& world,
-                             const std::vector<std::size_t>& vp_indices) {
-  const attack::AttackSchedule& schedule = world.config().attack;
-  if (schedule.empty()) return;
-  auto& sim = world.sim();
-  auto& pop = world.population();
-  const dns::Name victim =
-      dns::Name::parse(schedule.zone().victim_domain);
-  // Registered whenever the schedule is armed — in every shard replica,
-  // bots owned or not — so all replicas carry an identical registry.
-  obs::Counter* injected =
-      &sim.metrics().counter(obs::names::kAttackQueriesInjected);
+/// The attack traffic of world.config().attack for the bot VPs one shard
+/// owns. Bots are the `bots` lowest-index VPs of each event — a global,
+/// partition-independent set — and every attack qname is drawn from an RNG
+/// forked per (event, bot, query), so the stream a bot fires is
+/// byte-identical at any shard count.
+///
+/// Each bot's shots are a chain: the constructor reserves one event
+/// sequence number per shot, in (event, bot, shot) order, and arms shot 0;
+/// every shot arms the next under its reserved number and draws its qname
+/// when it fires. The queue holds one pending shot per bot, yet every shot
+/// keeps the (time, seq) key that scheduling them all up front gives it.
+/// Must stay where it was built until the simulation has run.
+class AttackTraffic {
+ public:
+  AttackTraffic(Testbed& world, const std::vector<std::size_t>& vp_indices)
+      : world_(world) {
+    const attack::AttackSchedule& schedule = world.config().attack;
+    if (schedule.empty()) return;
+    auto& sim = world.sim();
+    auto& pop = world.population();
+    victim_ = dns::Name::parse(schedule.zone().victim_domain);
+    // Registered whenever the schedule is armed — in every shard replica,
+    // bots owned or not — so all replicas carry an identical registry.
+    injected_ = &sim.metrics().counter(obs::names::kAttackQueriesInjected);
 
-  const stats::Rng attack_rng = sim.rng().fork("attack-campaign");
-  for (std::size_t e = 0; e < schedule.events().size(); ++e) {
-    const attack::AttackEvent& ev = schedule.events()[e];
-    const stats::Rng event_rng = attack_rng.fork(e);
-    for (const std::size_t v : vp_indices) {
-      if (v >= static_cast<std::size_t>(ev.bots)) continue;
-      client::VantagePoint* vp = pop.by_probe(v);
-      const stats::Rng bot_rng = event_rng.fork(vp->probe_id);
-      // Identity-keyed phase offset de-synchronises the bots.
-      const net::Duration phase = net::Duration::millis(
-          bot_rng.fork("phase").uniform(0.0, ev.interval.ms()));
-      std::size_t k = 0;
-      for (net::SimTime at = ev.start + phase; at < ev.end;
-           at = at + ev.interval, ++k) {
-        stats::Rng query_rng = bot_rng.fork(k);
-        const dns::Name qname =
-            ev.kind == attack::AttackKind::Nxns
-                ? attack::nxns_query_name(schedule.zone(), query_rng)
-                : attack::water_torture_query_name(victim, query_rng);
-        sim.at(at, [&world, vp, qname, injected] {
-          injected->add(1, world.sim().now());
-          // Fire-and-forget: a bot never cares about the answer.
-          vp->stub->query(qname, dns::RRType::A,
-                          [](const client::StubResult&) {});
-        });
+    const stats::Rng attack_rng = sim.rng().fork("attack-campaign");
+    for (std::size_t e = 0; e < schedule.events().size(); ++e) {
+      const attack::AttackEvent& ev = schedule.events()[e];
+      const stats::Rng event_rng = attack_rng.fork(e);
+      for (const std::size_t v : vp_indices) {
+        if (v >= static_cast<std::size_t>(ev.bots)) continue;
+        client::VantagePoint* vp = pop.by_probe(v);
+        const stats::Rng bot_rng = event_rng.fork(vp->probe_id);
+        // Identity-keyed phase offset de-synchronises the bots.
+        const net::Duration phase = net::Duration::millis(
+            bot_rng.fork("phase").uniform(0.0, ev.interval.ms()));
+        const net::SimTime first = ev.start + phase;
+        std::uint64_t shots = 0;
+        for (net::SimTime at = first; at < ev.end; at = at + ev.interval) {
+          ++shots;
+        }
+        if (shots == 0) continue;
+        bots_.push_back({vp, &ev, bot_rng, first, sim.reserve(shots)});
       }
     }
+    for (Bot& bot : bots_) arm(&bot, 0, bot.first);
   }
-}
+  AttackTraffic(const AttackTraffic&) = delete;
+  AttackTraffic& operator=(const AttackTraffic&) = delete;
+
+ private:
+  struct Bot {
+    client::VantagePoint* vp;
+    const attack::AttackEvent* ev;
+    stats::Rng rng;
+    net::SimTime first;
+    std::uint64_t first_seq;
+  };
+
+  void arm(Bot* bot, std::uint64_t k, net::SimTime at) {
+    world_.sim().at_reserved(at, bot->first_seq + k,
+                             [this, bot, k] { fire(bot, k); });
+  }
+
+  void fire(Bot* bot, std::uint64_t k) {
+    const net::SimTime now = world_.sim().now();
+    const net::SimTime next = now + bot->ev->interval;
+    if (next < bot->ev->end) arm(bot, k + 1, next);
+    injected_->add(1, now);
+    stats::Rng query_rng = bot->rng.fork(k);
+    const dns::Name qname =
+        bot->ev->kind == attack::AttackKind::Nxns
+            ? attack::nxns_query_name(world_.config().attack.zone(),
+                                      query_rng)
+            : attack::water_torture_query_name(victim_, query_rng);
+    // Fire-and-forget: a bot never cares about the answer.
+    bot->vp->stub->query(qname, dns::RRType::A,
+                         [](const client::StubResult&) {});
+  }
+
+  Testbed& world_;
+  dns::Name victim_;
+  obs::Counter* injected_ = nullptr;
+  /// Filled before any shot is armed; shots point into it.
+  std::vector<Bot> bots_;
+};
+
+/// The campaign probes of one shard. Each VP gets a block of
+/// queries_per_vp reserved event sequence numbers, in VP-major order, and
+/// only its next probe is pending: probe k arms probe k+1 when it fires.
+/// Every probe thus fires under the (time, seq) key that scheduling all of
+/// them up front gives it — the pop order, ties included, is unchanged —
+/// while the queue holds one probe per VP instead of queries_per_vp.
+/// Must stay where it was built until the simulation has run.
+class CampaignProbes {
+ public:
+  struct VpState {
+    client::VantagePoint* vp = nullptr;
+    net::Duration phase;
+    /// Reserved sequence number of probe 0; probe k fires under first_seq+k.
+    std::uint64_t first_seq = 0;
+    std::vector<int> sequence;
+    /// (recursive address, queries served) pairs. VPs use 1-2 recursives;
+    /// a flat vector beats the hash map it replaced on both memory and
+    /// lookup time, and — unlike the map — iterates deterministically.
+    std::vector<std::pair<net::IpAddress, std::size_t>> recursive_use;
+  };
+
+  CampaignProbes(Testbed& world, const CampaignConfig& config,
+                 const std::vector<std::size_t>& vp_indices)
+      : world_(world),
+        domain_(world.test_domain()),
+        interval_(config.interval),
+        queries_per_vp_(config.queries_per_vp),
+        // Rank-indexed (position in vp_indices), NOT probe-indexed: a
+        // partition-scoped shard must not pay memory for the whole fleet.
+        states_(vp_indices.size()) {
+    auto& sim = world.sim();
+    obs::MetricRegistry& m = sim.metrics();
+    q_sent_ = &m.counter(obs::names::kCampaignQueriesSent);
+    q_answered_ = &m.counter(obs::names::kCampaignQueriesAnswered);
+    q_unanswered_ = &m.counter(obs::names::kCampaignQueriesUnanswered);
+    // Stamped at the origin: every shard schedules before any event runs.
+    m.counter(obs::names::kCampaignVps)
+        .add(vp_indices.size(), net::SimTime::origin());
+    trace_ = &sim.trace();
+
+    const stats::Rng campaign_rng = sim.rng().fork("campaign");
+    for (std::size_t r = 0; r < vp_indices.size(); ++r) {
+      VpState& st = states_[r];
+      st.vp = world.population().by_probe(vp_indices[r]);
+      if (st.vp == nullptr) {
+        throw std::logic_error{
+            "run_campaign_shard: VP not materialized on this world"};
+      }
+      stats::Rng vp_rng = campaign_rng.fork(st.vp->probe_id);
+      st.phase = config.phase_jitter
+                     ? net::Duration::millis(
+                           vp_rng.uniform(0.0, config.interval.ms()))
+                     : net::Duration::zero();
+      st.first_seq = sim.reserve(queries_per_vp_);
+      if (queries_per_vp_ > 0) arm(&st, 0);
+    }
+  }
+  CampaignProbes(const CampaignProbes&) = delete;
+  CampaignProbes& operator=(const CampaignProbes&) = delete;
+
+  /// Per-VP results, rank-indexed; read them once the simulation has run.
+  [[nodiscard]] std::vector<VpState>& states() noexcept { return states_; }
+
+ private:
+  void arm(VpState* st, std::size_t k) {
+    const net::SimTime at =
+        net::SimTime::origin() + st->phase + interval_ * double(k);
+    world_.sim().at_reserved(at, st->first_seq + k,
+                             [this, st, k] { fire(st, k); });
+  }
+
+  void fire(VpState* st, std::size_t k) {
+    if (k + 1 < queries_per_vp_) arm(st, k + 1);
+    q_sent_->add(1, world_.sim().now());
+    const dns::Name qname = domain_.prefixed(
+        "q" + std::to_string(st->vp->probe_id) + "x" + std::to_string(k));
+    st->vp->stub->query(qname, dns::RRType::TXT,
+                        [this, st](const client::StubResult& r) {
+                          on_answer(st, r);
+                        });
+  }
+
+  void on_answer(VpState* st, const client::StubResult& r) {
+    const net::SimTime now = world_.sim().now();
+    int idx = -1;
+    if (!r.timed_out && !r.txt.empty()) {
+      idx = world_.test_index_of(r.txt.front());
+    }
+    if (idx >= 0) {
+      q_answered_->add(1, now);
+    } else {
+      q_unanswered_->add(1, now);
+    }
+    st->sequence.push_back(idx);
+    const auto& recursives = st->vp->stub->recursives();
+    if (r.recursive_index < recursives.size()) {
+      const net::IpAddress raddr = recursives[r.recursive_index];
+      auto it = std::find_if(
+          st->recursive_use.begin(), st->recursive_use.end(),
+          [raddr](const auto& p) { return p.first == raddr; });
+      if (it == st->recursive_use.end()) {
+        st->recursive_use.emplace_back(raddr, 1);
+      } else {
+        ++it->second;
+      }
+    }
+    // Per-VP progress (never per-shard: the trace must not know how the
+    // schedule was partitioned).
+    if (st->sequence.size() == queries_per_vp_ && trace_->enabled()) {
+      trace_->record({now, obs::TraceKind::Progress, "campaign",
+                      "probe" + std::to_string(st->vp->probe_id), "done",
+                      static_cast<double>(queries_per_vp_)});
+    }
+  }
+
+  Testbed& world_;
+  const dns::Name& domain_;
+  net::Duration interval_;
+  std::size_t queries_per_vp_;
+  obs::Counter* q_sent_ = nullptr;
+  obs::Counter* q_answered_ = nullptr;
+  obs::Counter* q_unanswered_ = nullptr;
+  obs::DecisionTrace* trace_ = nullptr;
+  std::vector<VpState> states_;
+};
 
 /// Schedules the campaign queries of the VPs in `vp_indices` (ascending) on
 /// `world`, runs its simulation to completion, and returns one observation
@@ -85,107 +250,21 @@ void schedule_attack_traffic(Testbed& world,
 std::vector<VpObservation> run_campaign_shard(
     Testbed& world, const CampaignConfig& config,
     const std::vector<std::size_t>& vp_indices) {
-  auto& sim = world.sim();
   auto& network = world.network();
-  auto& pop = world.population();
   const auto& services = world.test_services();
-  const dns::Name domain = world.test_domain();
 
-  struct VpState {
-    std::vector<int> sequence;
-    /// (recursive address, queries served) pairs. VPs use 1-2 recursives;
-    /// a flat vector beats the hash map it replaced on both memory and
-    /// lookup time, and — unlike the map — iterates deterministically.
-    std::vector<std::pair<net::IpAddress, std::size_t>> recursive_use;
-  };
-  // Rank-indexed (position in vp_indices), NOT probe-indexed: a
-  // partition-scoped shard must not pay memory for the whole fleet.
-  std::vector<VpState> states(vp_indices.size());
+  CampaignProbes probes{world, config, vp_indices};
+  // Reserves after the probes, so attack shots number after them exactly
+  // as when both were scheduled up front.
+  AttackTraffic attack{world, vp_indices};
 
-  obs::MetricRegistry& m = sim.metrics();
-  obs::Counter* q_sent = &m.counter(obs::names::kCampaignQueriesSent);
-  obs::Counter* q_answered = &m.counter(obs::names::kCampaignQueriesAnswered);
-  obs::Counter* q_unanswered =
-      &m.counter(obs::names::kCampaignQueriesUnanswered);
-  // Stamped at the origin: every shard schedules before any event runs.
-  m.counter(obs::names::kCampaignVps)
-      .add(vp_indices.size(), net::SimTime::origin());
-  obs::DecisionTrace* trace = &sim.trace();
-  const std::size_t queries_per_vp = config.queries_per_vp;
+  world.sim().run();
 
-  const stats::Rng campaign_rng = sim.rng().fork("campaign");
-
-  for (std::size_t r = 0; r < vp_indices.size(); ++r) {
-    client::VantagePoint* vp = pop.by_probe(vp_indices[r]);
-    if (vp == nullptr) {
-      throw std::logic_error{
-          "run_campaign_shard: VP not materialized on this world"};
-    }
-    VpState* st = &states[r];
-    stats::Rng vp_rng = campaign_rng.fork(vp->probe_id);
-    const net::Duration phase =
-        config.phase_jitter
-            ? net::Duration::millis(vp_rng.uniform(0.0, config.interval.ms()))
-            : net::Duration::zero();
-    for (std::size_t k = 0; k < config.queries_per_vp; ++k) {
-      const net::SimTime at =
-          net::SimTime::origin() + phase + config.interval * double(k);
-      // `domain` outlives sim.run(); capturing it by reference keeps this
-      // lambda inside EventFn's inline buffer.
-      sim.at(at, [&world, &domain, st, vp, k, q_sent, q_answered,
-                  q_unanswered, trace, queries_per_vp] {
-        q_sent->add(1, world.sim().now());
-        const dns::Name qname = domain.prefixed(
-            "q" + std::to_string(vp->probe_id) + "x" + std::to_string(k));
-        vp->stub->query(
-            qname, dns::RRType::TXT,
-            [&world, st, vp, q_answered, q_unanswered, trace,
-             queries_per_vp](const client::StubResult& r) {
-              const net::SimTime now = world.sim().now();
-              int idx = -1;
-              if (!r.timed_out && !r.txt.empty()) {
-                idx = world.test_index_of(r.txt.front());
-              }
-              if (idx >= 0) {
-                q_answered->add(1, now);
-              } else {
-                q_unanswered->add(1, now);
-              }
-              st->sequence.push_back(idx);
-              if (r.recursive_index < vp->stub->recursives().size()) {
-                const net::IpAddress raddr =
-                    vp->stub->recursives()[r.recursive_index];
-                auto it = std::find_if(
-                    st->recursive_use.begin(), st->recursive_use.end(),
-                    [raddr](const auto& p) { return p.first == raddr; });
-                if (it == st->recursive_use.end()) {
-                  st->recursive_use.emplace_back(raddr, 1);
-                } else {
-                  ++it->second;
-                }
-              }
-              // Per-VP progress (never per-shard: the trace must not know
-              // how the schedule was partitioned).
-              if (st->sequence.size() == queries_per_vp &&
-                  trace->enabled()) {
-                trace->record({now, obs::TraceKind::Progress, "campaign",
-                               "probe" + std::to_string(vp->probe_id),
-                               "done",
-                               static_cast<double>(queries_per_vp)});
-              }
-            });
-      });
-    }
-  }
-
-  schedule_attack_traffic(world, vp_indices);
-
-  sim.run();
-
+  auto& states = probes.states();
   std::vector<VpObservation> observations;
   observations.reserve(vp_indices.size());
   for (std::size_t r = 0; r < vp_indices.size(); ++r) {
-    const client::VantagePoint* vp = pop.by_probe(vp_indices[r]);
+    const client::VantagePoint* vp = states[r].vp;
     VpObservation obs;
     obs.probe_id = vp->probe_id;
     obs.continent = vp->continent;

@@ -10,6 +10,14 @@
 // entry is skipped when it surfaces. A retired slot can be reused
 // immediately; its bumped generation makes any outstanding handle or heap
 // entry for the old event harmless.
+//
+// Sequence numbers can also be reserved ahead of time: reserve(n) hands out
+// a block of n consecutive numbers as if n events had been pushed, and
+// push_reserved() later schedules an event under one of them. An event
+// pushed that way sorts exactly where an eager push() at reservation time
+// would have, so a producer with a long, strictly ordered chain of future
+// events (a campaign's probes to one VP) can keep only the next one pending
+// without changing the pop order.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,19 @@ class EventQueue {
  public:
   /// Schedules `fn` at absolute time `at`. Returns a handle for cancel().
   EventId push(SimTime at, EventFn fn);
+
+  /// Reserves `n` consecutive sequence numbers and returns the first. Later
+  /// push() calls number after the whole block.
+  std::uint64_t reserve(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `fn` at `at` under `seq`, a number from an earlier reserve()
+  /// that no other event used. Ties at `at` break by `seq`, exactly as if
+  /// the event had been pushed when its number was reserved.
+  EventId push_reserved(SimTime at, std::uint64_t seq, EventFn fn);
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);

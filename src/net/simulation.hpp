@@ -43,10 +43,19 @@ class Simulation {
 
   /// Schedules `fn` at absolute time `t` (must be >= now()).
   EventId at(SimTime t, EventFn fn) {
-    const EventId id = queue_.push(t, std::move(fn));
-    ++pushes_;
-    if (queue_.size() > peak_raw_) peak_raw_ = queue_.size();
-    return id;
+    return counted(queue_.push(t, std::move(fn)));
+  }
+
+  /// Reserves `n` consecutive event sequence numbers; returns the first.
+  /// See EventQueue::reserve: an event later scheduled with at_reserved()
+  /// fires exactly where one scheduled with at() now would have.
+  std::uint64_t reserve(std::uint64_t n) noexcept {
+    return queue_.reserve(n);
+  }
+
+  /// Schedules `fn` at `t` (>= now()) under the reserved number `seq`.
+  EventId at_reserved(SimTime t, std::uint64_t seq, EventFn fn) {
+    return counted(queue_.push_reserved(t, seq, std::move(fn)));
   }
 
   /// Schedules `fn` after relative delay `d` (clamped to >= 0).
@@ -97,6 +106,12 @@ class Simulation {
   }
 
  private:
+  EventId counted(EventId id) noexcept {
+    ++pushes_;
+    if (queue_.size() > peak_raw_) peak_raw_ = queue_.size();
+    return id;
+  }
+
   SimTime now_ = SimTime::origin();
   EventQueue queue_;
   stats::Rng rng_;

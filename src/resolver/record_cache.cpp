@@ -1,28 +1,66 @@
 #include "resolver/record_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/names.hpp"
 
 namespace recwild::resolver {
 
-CacheEntry* RecordCache::find_live(const dns::Name& name, dns::RRType type,
-                                   net::SimTime now) {
-  auto it = entries_.find(KeyView{name, type});
-  if (it == entries_.end()) return nullptr;
-  if (it->second.entry.expires_at <= now) {
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
-    return nullptr;
-  }
-  touch(it->second);
-  return &it->second.entry;
+std::uint32_t RecordCache::hash_of(const dns::Name& name,
+                                   dns::RRType type) noexcept {
+  const std::uint64_t h =
+      name.hash() ^ (static_cast<std::uint64_t>(type) * 0x9e3779b9u);
+  // Fibonacci mixing; the top bits feed home(), so keep the high half.
+  return static_cast<std::uint32_t>((h * 0x9e3779b97f4a7c15ull) >> 32);
 }
 
-void RecordCache::touch(Slot& slot) {
-  // splice: O(1) relink, no node alloc/free, no Key copy; slot.lru_pos
-  // stays valid (splice never invalidates list iterators).
-  lru_.splice(lru_.begin(), lru_, slot.lru_pos);
+std::size_t RecordCache::find(const dns::Name& name, dns::RRType type,
+                              std::uint32_t hash) const noexcept {
+  if (index_.empty()) return kNotFound;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+    const Bucket& b = index_[i];
+    if (b.slot == kNone) return kNotFound;
+    if (b.hash == hash) {
+      const dns::RRset& key = slot(b.slot).entry.rrset;
+      if (key.type == type && key.name == name) return i;
+    }
+  }
+}
+
+CacheEntry* RecordCache::find_live(const dns::Name& name, dns::RRType type,
+                                   net::SimTime now) {
+  const std::size_t pos = find(name, type, hash_of(name, type));
+  if (pos == kNotFound) return nullptr;
+  const SlotId id = index_[pos].slot;
+  if (slot(id).entry.expires_at <= now) {
+    erase_at(pos);
+    return nullptr;
+  }
+  touch(id);
+  return &slot(id).entry;
+}
+
+void RecordCache::touch(SlotId id) {
+  if (lru_head_ == id) return;
+  unlink(id);
+  link_front(id);
+}
+
+void RecordCache::link_front(SlotId id) {
+  Slot& s = slot(id);
+  s.prev = kNone;
+  s.next = lru_head_;
+  if (lru_head_ != kNone) slot(lru_head_).prev = id;
+  lru_head_ = id;
+  if (lru_tail_ == kNone) lru_tail_ = id;
+}
+
+void RecordCache::unlink(SlotId id) {
+  const Slot& s = slot(id);
+  (s.prev != kNone ? slot(s.prev).next : lru_head_) = s.next;
+  (s.next != kNone ? slot(s.next).prev : lru_tail_) = s.prev;
 }
 
 void CacheHit::append_records(std::vector<dns::ResourceRecord>& out) const {
@@ -56,9 +94,9 @@ std::optional<dns::Rcode> RecordCache::get_negative(const dns::Name& name,
 
 const dns::RRset* RecordCache::peek(const dns::Name& name, dns::RRType type,
                                     net::SimTime now) const {
-  const auto it = entries_.find(KeyView{name, type});
-  if (it == entries_.end()) return nullptr;
-  const CacheEntry& e = it->second.entry;
+  const std::size_t pos = find(name, type, hash_of(name, type));
+  if (pos == kNotFound) return nullptr;
+  const CacheEntry& e = slot(index_[pos].slot).entry;
   if (e.expires_at <= now || e.negative) return nullptr;
   return &e.rrset;
 }
@@ -70,7 +108,7 @@ void RecordCache::put(const dns::RRset& rrset, net::SimTime now) {
   entry.rrset = rrset;
   entry.rrset.ttl = ttl;
   entry.expires_at = now + net::Duration::seconds(ttl);
-  insert(Key{rrset.name, rrset.type}, std::move(entry), now);
+  insert(std::move(entry), now);
 }
 
 void RecordCache::put_negative(const dns::Name& name, dns::RRType type,
@@ -84,27 +122,83 @@ void RecordCache::put_negative(const dns::Name& name, dns::RRType type,
   entry.expires_at =
       now + net::Duration::seconds(
                 std::clamp(ttl, config_.min_ttl, config_.max_ttl));
-  insert(Key{name, type}, std::move(entry), now);
+  insert(std::move(entry), now);
 }
 
-void RecordCache::insert(Key key, CacheEntry entry, net::SimTime now) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.entry = std::move(entry);
-    touch(it->second);
+void RecordCache::insert(CacheEntry entry, net::SimTime now) {
+  const dns::RRset& key = entry.rrset;
+  const std::uint32_t hash = hash_of(key.name, key.type);
+  const std::size_t pos = find(key.name, key.type, hash);
+  if (pos != kNotFound) {
+    const SlotId id = index_[pos].slot;
+    slot(id).entry = std::move(entry);
+    touch(id);
     return;
   }
-  while (entries_.size() >= config_.max_entries) evict_one(now);
-  it = entries_.emplace(std::move(key), Slot{std::move(entry), {}}).first;
-  lru_.push_front(&it->first);
-  it->second.lru_pos = lru_.begin();
+  while (size_ >= config_.max_entries && lru_tail_ != kNone) evict_one(now);
+
+  SlotId id = free_head_;
+  if (id != kNone) {
+    free_head_ = slot(id).next;
+  } else {
+    if (slots_used_ % kChunkSlots == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+    id = slots_used_++;
+  }
+  Slot& s = slot(id);
+  s.entry = std::move(entry);
+  s.hash = hash;
+  link_front(id);
+  if ((size_ + 1) * 4 > index_.size() * 3) grow_index();
+  place(id, hash);
+  ++size_;
+}
+
+void RecordCache::place(SlotId id, std::uint32_t hash) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(hash);
+  while (index_[i].slot != kNone) i = (i + 1) & mask;
+  index_[i] = Bucket{id, hash};
+}
+
+void RecordCache::grow_index() {
+  std::vector<Bucket> old = std::move(index_);
+  index_.assign(old.empty() ? 16 : old.size() * 2, Bucket{});
+  shift_ = 32u - static_cast<unsigned>(std::countr_zero(index_.size()));
+  for (const Bucket& b : old) {
+    if (b.slot != kNone) place(b.slot, b.hash);
+  }
+}
+
+void RecordCache::erase_at(std::size_t pos) {
+  const SlotId id = index_[pos].slot;
+  // Backward-shift deletion: pull each later bucket of the probe run into
+  // the hole when the hole lies between its home and its position.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = (pos + 1) & mask; index_[j].slot != kNone;
+       j = (j + 1) & mask) {
+    if (((j - home(index_[j].hash)) & mask) >= ((j - pos) & mask)) {
+      index_[pos] = index_[j];
+      pos = j;
+    }
+  }
+  index_[pos] = Bucket{};
+
+  unlink(id);
+  Slot& s = slot(id);
+  s.entry = CacheEntry{};
+  s.next = free_head_;
+  free_head_ = id;
+  --size_;
 }
 
 void RecordCache::evict_one(net::SimTime now) {
-  if (lru_.empty()) return;
-  const Key* victim = lru_.back();
-  lru_.pop_back();
-  entries_.erase(entries_.find(*victim));
+  const Slot& victim = slot(lru_tail_);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = home(victim.hash);
+  while (index_[pos].slot != lru_tail_) pos = (pos + 1) & mask;
+  erase_at(pos);
   ++evictions_;
   if (obs_evictions_ != nullptr) obs_evictions_->add(1, now);
 }
@@ -117,8 +211,12 @@ void RecordCache::attach_metrics(obs::MetricRegistry& registry) {
 }
 
 void RecordCache::clear() {
-  entries_.clear();
-  lru_.clear();
+  chunks_.clear();
+  slots_used_ = 0;
+  index_ = std::vector<Bucket>{};
+  shift_ = 32;
+  size_ = 0;
+  free_head_ = lru_head_ = lru_tail_ = kNone;
 }
 
 }  // namespace recwild::resolver

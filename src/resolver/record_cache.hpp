@@ -6,11 +6,22 @@
 // labels, TTL 5 s); the cache still matters because NS sets and glue stay
 // cached between probes, which is exactly why only the test authoritatives
 // see the probe traffic after the first resolution.
+//
+// Layout: entries live in a slab of slots with a free list, each slot
+// holding the entry, its key hash and the intrusive prev/next indices of
+// the LRU list. An entry's key is its own rrset.name/rrset.type. The slab
+// grows in fixed chunks that never move, so an entry stays put until it is
+// erased, and a small cache wastes at most one partial chunk. A
+// linear-probing index maps keys to slot ids; each bucket also keeps the
+// key hash, so a probe compares slots only when the hashes agree and a miss
+// never reads a slot. Erasing shifts later buckets back, so the index holds
+// no tombstones.
 #pragma once
 
-#include <list>
+#include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "dnscore/record.hpp"
 #include "net/time.hpp"
@@ -36,7 +47,8 @@ struct CacheEntry {
 /// A positive lookup's result, borrowed from the cache: the live cached
 /// RRset and the TTL remaining on it. Empty on miss/expired/negative. Valid
 /// until the entry leaves the cache: do not hold it across put,
-/// put_negative, clear, or a later lookup of the same (name, type).
+/// put_negative, clear, or a later lookup of the same (name, type). Lookups
+/// of other keys keep it valid, even one that erases an expired entry.
 struct CacheHit {
   const dns::RRset* rrset = nullptr;
   dns::Ttl ttl = 0;  // remaining at lookup time; rrset->ttl is the stored one
@@ -74,7 +86,7 @@ class RecordCache {
   void put_negative(const dns::Name& name, dns::RRType type, dns::Rcode rcode,
                     dns::Ttl ttl, net::SimTime now);
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   void clear();
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -86,55 +98,62 @@ class RecordCache {
   void attach_metrics(obs::MetricRegistry& registry);
 
  private:
-  struct Key {
-    dns::Name name;
-    dns::RRType type;
-    bool operator==(const Key& o) const {
-      return type == o.type && name == o.name;
-    }
-  };
-  /// Borrowed key for transparent lookups: find() probes with the caller's
-  /// Name instead of copying its label vector into a fresh Key per lookup
-  /// (that copy used to top the campaign profile).
-  struct KeyView {
-    const dns::Name& name;
-    dns::RRType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    std::size_t operator()(const Key& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) * 0x9e3779b9);
-    }
-    std::size_t operator()(const KeyView& k) const noexcept {
-      return k.name.hash() ^ (static_cast<std::size_t>(k.type) * 0x9e3779b9);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const { return a == b; }
-    bool operator()(const Key& a, const KeyView& b) const {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyView& a, const Key& b) const {
-      return b.type == a.type && b.name == a.name;
-    }
-  };
+  using SlotId = std::uint32_t;
+  static constexpr SlotId kNone = ~SlotId{0};
+
   struct Slot {
     CacheEntry entry;
-    std::list<const Key*>::iterator lru_pos;
+    std::uint32_t hash = 0;
+    /// LRU neighbours, towards the front (more recent) and the back. A free
+    /// slot links the free list through `next`.
+    SlotId prev = kNone;
+    SlotId next = kNone;
+  };
+  struct Bucket {
+    SlotId slot = kNone;  // kNone = empty
+    std::uint32_t hash = 0;
   };
 
+  static std::uint32_t hash_of(const dns::Name& name,
+                               dns::RRType type) noexcept;
+  /// Index position of (name, type), or kNotFound.
+  [[nodiscard]] std::size_t find(const dns::Name& name, dns::RRType type,
+                                 std::uint32_t hash) const noexcept;
+  [[nodiscard]] std::size_t home(std::uint32_t hash) const noexcept {
+    return hash >> shift_;
+  }
+  [[nodiscard]] Slot& slot(SlotId id) noexcept {
+    return chunks_[id / kChunkSlots][id % kChunkSlots];
+  }
+  [[nodiscard]] const Slot& slot(SlotId id) const noexcept {
+    return chunks_[id / kChunkSlots][id % kChunkSlots];
+  }
   CacheEntry* find_live(const dns::Name& name, dns::RRType type,
                         net::SimTime now);
-  void touch(Slot& slot);
-  void insert(Key key, CacheEntry entry, net::SimTime now);
+  void insert(CacheEntry entry, net::SimTime now);
+  /// Drops the entry at index position `pos` from the index, the LRU list
+  /// and the slab.
+  void erase_at(std::size_t pos);
   void evict_one(net::SimTime now);
+  void place(SlotId id, std::uint32_t hash);
+  void grow_index();
+  /// Moves the entry to the front of the LRU list.
+  void touch(SlotId id);
+  void link_front(SlotId id);
+  void unlink(SlotId id);
+
+  static constexpr std::size_t kNotFound = ~std::size_t{0};
+  static constexpr SlotId kChunkSlots = 16;
 
   RecordCacheConfig config_;
-  std::unordered_map<Key, Slot, KeyHash, KeyEq> entries_;
-  /// Keys of entries_ in recency order, front = most recent. Each points
-  /// at its map node's key, which stays put until that entry is erased.
-  std::list<const Key*> lru_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  SlotId slots_used_ = 0;  // slots ever handed out; the rest are unused
+  std::vector<Bucket> index_;  // size a power of two (or 0), load <= 3/4
+  unsigned shift_ = 32;        // home(hash) = hash >> shift_
+  std::size_t size_ = 0;
+  SlotId free_head_ = kNone;
+  SlotId lru_head_ = kNone;  // most recently used
+  SlotId lru_tail_ = kNone;  // next eviction victim
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

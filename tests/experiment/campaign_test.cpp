@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "experiment/analysis.hpp"
+#include "obs/names.hpp"
 
 namespace recwild::experiment {
 namespace {
@@ -28,6 +29,47 @@ TEST(Campaign, CollectsOneObservationPerVp) {
     EXPECT_EQ(vp.sequence.size(), 8u);
     EXPECT_EQ(vp.rtt_ms.size(), 2u);
   }
+}
+
+TEST(Campaign, KeepsOneProbePendingPerVp) {
+  // Scheduling every probe up front would hold probes x queries_per_vp
+  // events at once; each VP must instead keep only its next probe pending.
+  const auto peak_pending = [](std::size_t queries, bool jitter) {
+    auto tb = small_testbed({"DUB", "FRA"});
+    CampaignConfig cc;
+    cc.queries_per_vp = queries;
+    cc.phase_jitter = jitter;
+    (void)run_campaign(tb, cc);
+    return tb.sim().metrics().gauge(obs::names::kSimQueuePeakPending).value();
+  };
+  const double vps = 120;
+  // Jittered VPs rarely overlap in flight: one pending probe each, plus a
+  // few queries in the network.
+  EXPECT_LT(peak_pending(31, true), 2 * vps);
+  // In lockstep every VP is in flight at once, adding its query's network
+  // and timer events to the peak — but more probes per VP add nothing.
+  EXPECT_LT(peak_pending(31, false), peak_pending(5, false) + vps);
+}
+
+TEST(Campaign, ProbesKeepTheirScheduledPlaceInTies) {
+  // A probe fires under the sequence number that scheduling every probe up
+  // front gives it, however late it is armed. So an event scheduled during
+  // the run for the instant of the second probes fires after all of them.
+  auto tb = small_testbed({"DUB", "FRA"});
+  CampaignConfig cc;
+  cc.queries_per_vp = 3;
+  cc.phase_jitter = false;
+  cc.shards = 1;
+  auto& sim = tb.sim();
+  std::uint64_t sent_before_tie = 0;
+  sim.at(net::SimTime::origin(), [&] {
+    sim.at(net::SimTime::origin() + cc.interval, [&] {
+      sent_before_tie =
+          sim.metrics().counter(obs::names::kCampaignQueriesSent).value();
+    });
+  });
+  const auto result = run_campaign(tb, cc);
+  EXPECT_EQ(sent_before_tie, 2 * result.vps.size());
 }
 
 TEST(Campaign, AnswersIdentifyRealServices) {

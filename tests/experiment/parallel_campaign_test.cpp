@@ -67,6 +67,22 @@ TEST(ParallelCampaign, ExportedBytesIdenticalAcrossShardCounts) {
   EXPECT_EQ(serial, export_bytes(run_with_shards(8)));
 }
 
+TEST(ParallelCampaign, LockstepProbesIdenticalAcrossShardCounts) {
+  // Without phase jitter every VP probes at the same instants, so all
+  // probes tie on time and fire in event-sequence order.
+  const auto run = [](std::size_t shards) {
+    Testbed tb{small_config()};
+    CampaignConfig cc;
+    cc.queries_per_vp = 5;
+    cc.phase_jitter = false;
+    cc.shards = shards;
+    return run_campaign(tb, cc);
+  };
+  const std::string serial = export_bytes(run(1));
+  EXPECT_EQ(serial, export_bytes(run(2)));
+  EXPECT_EQ(serial, export_bytes(run(4)));
+}
+
 TEST(ParallelCampaign, RunStatsAccountForEveryVp) {
   Testbed tb{small_config()};
   CampaignConfig cc;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace recwild::net {
@@ -190,6 +193,172 @@ TEST(EventQueue, TieOrderSurvivesHeavyCancellation) {
   for (const EventId id : victims) q.cancel(id);
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(EventQueue, ReservedEventSortsWhereAnEagerPushWould) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t first = q.reserve(2);
+  q.push(at_ms(5), [&] { order.push_back(3); });  // numbered after the block
+  q.push_reserved(at_ms(5), first + 1, [&] { order.push_back(2); });
+  q.push_reserved(at_ms(5), first, [&] { order.push_back(1); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedEventCanBeCancelled) {
+  EventQueue q;
+  bool fired = false;
+  const std::uint64_t seq = q.reserve(1);
+  const EventId id = q.push_reserved(at_ms(1), seq, [&] { fired = true; });
+  EXPECT_EQ(q.size(), 1u);
+  q.cancel(id);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(fired);
+}
+
+// Differential test of sequence reservation. One random schedule runs
+// twice: once with every link of every chain pushed up front, once with a
+// reserved block per chain and only the next link pending (each link arms
+// its successor when it fires). Fired events push fresh events (some at
+// the current instant, so they tie with pending ones) and cancel earlier
+// fresh events, decided from the fired event's label alone so both runs
+// make the same decisions. Both runs must pop the same labels at the same
+// times.
+class ReservationDriver {
+ public:
+  using Chains = std::vector<std::vector<SimTime>>;
+
+  ReservationDriver(const Chains& chains,
+                    const std::vector<std::vector<SimTime>>& setup_fresh,
+                    std::uint64_t seed, bool lazy)
+      : chains_(chains), setup_fresh_(setup_fresh), seed_(seed),
+        lazy_(lazy) {}
+
+  struct Pop {
+    std::uint64_t label;
+    SimTime at;
+    bool operator==(const Pop&) const = default;
+  };
+
+  std::vector<Pop> run() {
+    for (std::size_t c = 0; c < chains_.size(); ++c) {
+      const auto& links = chains_[c];
+      if (lazy_) {
+        first_seq_.push_back(q_.reserve(links.size()));
+        if (!links.empty()) arm(c, 0);
+      } else {
+        for (std::size_t k = 0; k < links.size(); ++k) {
+          q_.push(links[k], [this, c, k] { fired(chain_label(c, k)); });
+          peak_ = std::max(peak_, q_.size());
+        }
+      }
+      // Fresh pushes between the blocks take numbers after this chain's.
+      for (const SimTime at : setup_fresh_[c]) push_fresh(at);
+    }
+    while (!q_.empty()) {
+      auto f = q_.pop();
+      EXPECT_GE(f.at, now_);
+      now_ = f.at;
+      f.fn();
+    }
+    return pops_;
+  }
+
+  [[nodiscard]] std::size_t peak() const { return peak_; }
+
+ private:
+  static constexpr std::uint64_t kFresh = 1'000'000;
+  static constexpr std::size_t kMaxFresh = 4'000;
+
+  static std::uint64_t chain_label(std::size_t c, std::size_t k) {
+    return c * 1'000 + k;
+  }
+
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
+  void arm(std::size_t c, std::size_t k) {
+    q_.push_reserved(chains_[c][k], first_seq_[c] + k, [this, c, k] {
+      fired(chain_label(c, k));
+      // Armed after the fresh pushes: its number is reserved, so when it
+      // is pushed must not matter.
+      if (k + 1 < chains_[c].size()) arm(c, k + 1);
+    });
+    peak_ = std::max(peak_, q_.size());
+  }
+
+  void push_fresh(SimTime at) {
+    if (fresh_.size() >= kMaxFresh) return;
+    const std::uint64_t label = kFresh + fresh_.size();
+    fresh_.push_back(q_.push(at, [this, label] { fired(label); }));
+    peak_ = std::max(peak_, q_.size());
+  }
+
+  void fired(std::uint64_t label) {
+    pops_.push_back({label, now_});
+    const std::uint64_t h = mix(seed_ ^ mix(label));
+    if (h % 3 == 0) {
+      // 0-2 ms ahead: a 0 ties with whatever else is due now.
+      push_fresh(now_ + Duration::millis(double((h >> 8) % 3)));
+    }
+    if ((h >> 16) % 4 == 0 && !fresh_.empty()) {
+      // May hit an event that already fired: then a no-op in both runs.
+      q_.cancel(fresh_[(h >> 24) % fresh_.size()]);
+    }
+  }
+
+  const Chains& chains_;
+  const std::vector<std::vector<SimTime>>& setup_fresh_;
+  std::uint64_t seed_;
+  bool lazy_;
+  EventQueue q_;
+  SimTime now_ = SimTime::origin();
+  std::vector<std::uint64_t> first_seq_;
+  std::vector<EventId> fresh_;
+  std::vector<Pop> pops_;
+  std::size_t peak_ = 0;
+};
+
+TEST(EventQueue, ReservedChainsPopExactlyLikeEagerPushes) {
+  std::size_t total_pops = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 gen{seed};
+    const auto pick = [&gen](std::uint64_t n) { return gen() % n; };
+    // Whole-millisecond times and zero steps make equal-time ties common,
+    // within a chain and across chains.
+    ReservationDriver::Chains chains(1 + pick(30));
+    std::vector<std::vector<SimTime>> setup_fresh(chains.size());
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      double t = double(pick(20));
+      const std::size_t links = pick(13);  // 0..12; empty chains too
+      for (std::size_t k = 0; k < links; ++k) {
+        chains[c].push_back(at_ms(t));
+        static constexpr double kSteps[] = {0, 0, 1, 2, 5};
+        t += kSteps[pick(5)];
+      }
+      for (std::uint64_t i = pick(3); i > 0; --i) {
+        setup_fresh[c].push_back(at_ms(double(pick(60))));
+      }
+    }
+    ReservationDriver eager{chains, setup_fresh, seed, false};
+    ReservationDriver lazy{chains, setup_fresh, seed, true};
+    const auto expected = eager.run();
+    const auto got = lazy.run();
+    ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].label, expected[i].label)
+          << "seed " << seed << ", pop " << i;
+      ASSERT_EQ(got[i].at, expected[i].at) << "seed " << seed << ", pop " << i;
+    }
+    EXPECT_LE(lazy.peak(), eager.peak()) << "seed " << seed;
+    total_pops += got.size();
+  }
+  EXPECT_GT(total_pops, 10'000u);
 }
 
 TEST(EventQueue, ManyEventsStressOrder) {

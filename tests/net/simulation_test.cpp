@@ -31,6 +31,25 @@ TEST(Simulation, ClockStartsAtOrigin) {
   EXPECT_EQ(sim.now(), SimTime::origin());
 }
 
+TEST(Simulation, ReservedEventsKeepTheirPlaceAndAreCounted) {
+  Simulation sim;
+  std::vector<int> order;
+  const SimTime t = SimTime::origin() + Duration::millis(1);
+  const std::uint64_t first = sim.reserve(2);
+  sim.at(t, [&] { order.push_back(3); });  // numbered after the block
+  sim.at_reserved(t, first, [&] {
+    order.push_back(1);
+    // Armed while #3 is pending at the same instant, yet fires before it.
+    sim.at_reserved(sim.now(), first + 1, [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.metrics().counter(obs::names::kSimEventsScheduled).value(),
+            3u);
+  EXPECT_EQ(sim.metrics().gauge(obs::names::kSimQueuePeakPending).value(),
+            2.0);
+}
+
 TEST(Simulation, AfterSchedulesRelative) {
   Simulation sim;
   SimTime observed;

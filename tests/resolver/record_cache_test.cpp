@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
+#include <list>
+#include <random>
+#include <string>
+#include <unordered_map>
+
 namespace recwild::resolver {
 namespace {
 
@@ -179,6 +187,272 @@ TEST(RecordCache, ClearEmptiesEverything) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get(dns::Name::parse("a.nl"), dns::RRType::A, at_s(1)));
+}
+
+TEST(RecordCache, HitSurvivesALookupThatErasesAnotherExpiredEntry) {
+  // find_zone_cut's access pattern: it holds the NS set's CacheHit while it
+  // looks up each server's addresses, and those lookups lazily erase
+  // expired entries. Erasing must not move the entry the hit points at.
+  RecordCache cache;
+  dns::RRset ns;
+  ns.name = dns::Name::parse("nl");
+  ns.type = dns::RRType::NS;
+  ns.ttl = 3600;
+  for (const char* host : {"ns1.dns.nl", "ns2.dns.nl", "ns3.dns.nl"}) {
+    ns.rdatas.push_back(dns::NsRdata{dns::Name::parse(host)});
+  }
+  cache.put(ns, at_s(0));
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = "gone" + std::to_string(i) + ".nl";
+    cache.put(a_set(name.c_str(), 5, std::uint32_t(i)), at_s(0));
+  }
+  const CacheHit hit =
+      cache.get(dns::Name::parse("nl"), dns::RRType::NS, at_s(10));
+  ASSERT_TRUE(hit);
+  const dns::RRset* held = hit.rrset;
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = "gone" + std::to_string(i) + ".nl";
+    EXPECT_FALSE(
+        cache.get(dns::Name::parse(name), dns::RRType::A, at_s(10)));
+    ASSERT_EQ(hit.rrset, held);
+    ASSERT_EQ(hit.rrset->rdatas.size(), 3u);
+    EXPECT_EQ(std::get<dns::NsRdata>(hit.rrset->rdatas[2]).nsdname,
+              dns::Name::parse("ns3.dns.nl"));
+  }
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// The cache as it was built on std::unordered_map + std::list, kept as the
+// reference the slab cache must match result for result.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(RecordCacheConfig config) : config_(config) {}
+
+  std::optional<std::pair<dns::RRset, dns::Ttl>> get(const dns::Name& name,
+                                                     dns::RRType type,
+                                                     net::SimTime now) {
+    CacheEntry* e = find_live(name, type, now);
+    if (e == nullptr || e->negative) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    const double remaining = (e->expires_at - now).sec();
+    return std::pair{e->rrset,
+                     static_cast<dns::Ttl>(std::max(0.0, remaining))};
+  }
+
+  std::optional<dns::Rcode> get_negative(const dns::Name& name,
+                                         dns::RRType type,
+                                         net::SimTime now) {
+    CacheEntry* e = find_live(name, type, now);
+    if (e == nullptr || !e->negative) return std::nullopt;
+    return e->negative_rcode;
+  }
+
+  const dns::RRset* peek(const dns::Name& name, dns::RRType type,
+                         net::SimTime now) const {
+    const auto it = entries_.find(Key{name, type});
+    if (it == entries_.end()) return nullptr;
+    const CacheEntry& e = it->second.entry;
+    if (e.expires_at <= now || e.negative) return nullptr;
+    return &e.rrset;
+  }
+
+  void put(const dns::RRset& rrset, net::SimTime now) {
+    CacheEntry entry;
+    entry.rrset = rrset;
+    entry.rrset.ttl = std::clamp(rrset.ttl, config_.min_ttl, config_.max_ttl);
+    entry.expires_at = now + net::Duration::seconds(entry.rrset.ttl);
+    insert(Key{rrset.name, rrset.type}, std::move(entry));
+  }
+
+  void put_negative(const dns::Name& name, dns::RRType type,
+                    dns::Rcode rcode, dns::Ttl ttl, net::SimTime now) {
+    CacheEntry entry;
+    entry.negative = true;
+    entry.negative_rcode = rcode;
+    entry.rrset.name = name;
+    entry.rrset.type = type;
+    entry.expires_at =
+        now + net::Duration::seconds(
+                  std::clamp(ttl, config_.min_ttl, config_.max_ttl));
+    insert(Key{name, type}, std::move(entry));
+  }
+
+  void clear() {
+    entries_.clear();
+    lru_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Key {
+    dns::Name name;
+    dns::RRType type;
+    bool operator==(const Key& o) const {
+      return type == o.type && name == o.name;
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      return k.name.hash() ^ (static_cast<std::size_t>(k.type) * 0x9e3779b9);
+    }
+  };
+  struct Slot {
+    CacheEntry entry;
+    std::list<Key>::iterator lru_pos;
+  };
+
+  CacheEntry* find_live(const dns::Name& name, dns::RRType type,
+                        net::SimTime now) {
+    auto it = entries_.find(Key{name, type});
+    if (it == entries_.end()) return nullptr;
+    if (it->second.entry.expires_at <= now) {
+      lru_.erase(it->second.lru_pos);
+      entries_.erase(it);
+      return nullptr;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return &it->second.entry;
+  }
+
+  void insert(Key key, CacheEntry entry) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      it->second.entry = std::move(entry);
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      return;
+    }
+    while (entries_.size() >= config_.max_entries) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+      ++evictions_;
+    }
+    lru_.push_front(key);
+    entries_.emplace(std::move(key), Slot{std::move(entry), lru_.begin()});
+  }
+
+  RecordCacheConfig config_;
+  std::unordered_map<Key, Slot, KeyHash> entries_;
+  std::list<Key> lru_;  // front = most recent
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
+void expect_same_set(const dns::RRset& got, const dns::RRset& want,
+                     const std::string& where) {
+  // Case kept as written: an overwrite stores the newest spelling.
+  EXPECT_EQ(got.name.to_string(), want.name.to_string()) << where;
+  EXPECT_EQ(got.type, want.type) << where;
+  EXPECT_EQ(got.ttl, want.ttl) << where;
+  EXPECT_EQ(got.rdatas, want.rdatas) << where;
+}
+
+TEST(RecordCache, MatchesTheMapAndListReference) {
+  // A pool of names, each spelt in random case per operation, so keys
+  // collide across spellings; a tiny capacity keeps evictions and slot
+  // reuse constant, and short TTLs make lazy expiry-erase frequent.
+  static constexpr const char* kNames[] = {
+      "a.nl", "b.nl", "www.a.nl", "ns1.dns.nl", "x.example", "nl",
+      "c.b.a.nl", "q1x2.ourtestdomain.nl", "y.example", "z.example",
+      "deep.er.name.example", "m.nl"};
+  static constexpr dns::RRType kTypes[] = {dns::RRType::A, dns::RRType::AAAA,
+                                           dns::RRType::NS, dns::RRType::TXT};
+  std::uint64_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937_64 gen{seed};
+    const auto pick = [&gen](std::uint64_t n) { return gen() % n; };
+    const auto name = [&] {
+      std::string s = pick(2) == 0 ? kNames[pick(std::size(kNames))]
+                                   : "h" + std::to_string(pick(40)) + ".nl";
+      for (char& c : s) {
+        if (pick(2) == 0) c = static_cast<char>(std::toupper(c));
+      }
+      return dns::Name::parse(s);
+    };
+    RecordCacheConfig cfg;
+    // Mostly tiny; every third run large enough to grow the index.
+    cfg.max_entries = seed % 3 == 0 ? 60 + pick(100) : 1 + pick(6);
+    cfg.max_ttl = 6;
+    RecordCache cache{cfg};
+    ReferenceCache ref{cfg};
+    double now_s = 0;
+    for (int op = 0; op < 3'000; ++op) {
+      now_s += double(pick(4)) * 0.5;
+      const net::SimTime now = at_s(now_s);
+      const dns::Name n = name();
+      const dns::RRType type = kTypes[pick(std::size(kTypes))];
+      const std::string where = "seed " + std::to_string(seed) + " op " +
+                                std::to_string(op) + " " + n.to_string();
+      switch (pick(10)) {
+        case 0:
+        case 1: {
+          dns::RRset set;
+          set.name = n;
+          set.type = type;
+          set.ttl = static_cast<dns::Ttl>(pick(9));  // some above max_ttl
+          for (std::uint64_t i = 1 + pick(3); i > 0; --i) {
+            set.rdatas.push_back(
+                dns::TxtRdata{{std::to_string(op), std::to_string(i)}});
+          }
+          cache.put(set, now);
+          ref.put(set, now);
+          break;
+        }
+        case 2: {
+          const auto rcode =
+              pick(2) == 0 ? dns::Rcode::NxDomain : dns::Rcode::NoError;
+          const auto ttl = static_cast<dns::Ttl>(pick(9));
+          cache.put_negative(n, type, rcode, ttl, now);
+          ref.put_negative(n, type, rcode, ttl, now);
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+          const CacheHit got = cache.get(n, type, now);
+          const auto want = ref.get(n, type, now);
+          ASSERT_EQ(bool(got), want.has_value()) << where;
+          if (got) {
+            expect_same_set(*got.rrset, want->first, where);
+            EXPECT_EQ(got.ttl, want->second) << where;
+          }
+          break;
+        }
+        case 6:
+        case 7:
+          EXPECT_EQ(cache.get_negative(n, type, now),
+                    ref.get_negative(n, type, now))
+              << where;
+          break;
+        case 8: {
+          const dns::RRset* got = cache.peek(n, type, now);
+          const dns::RRset* want = ref.peek(n, type, now);
+          ASSERT_EQ(got != nullptr, want != nullptr) << where;
+          if (got != nullptr) expect_same_set(*got, *want, where);
+          break;
+        }
+        default:
+          if (pick(20) == 0) {  // rare: most runs should fill up
+            cache.clear();
+            ref.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(cache.size(), ref.size()) << where;
+      ASSERT_EQ(cache.hits(), ref.hits()) << where;
+      ASSERT_EQ(cache.misses(), ref.misses()) << where;
+      ASSERT_EQ(cache.evictions(), ref.evictions()) << where;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 60u * 3'000u);
 }
 
 }  // namespace
