@@ -1,8 +1,8 @@
 // Datapath micro-benchmark: codec allocations and latency, old vs new.
 //
-// Measures the wire codec three ways over a corpus of campaign-shaped
+// Measures the wire encoder three ways over a corpus of campaign-shaped
 // messages (queries with EDNS, referrals with glue, authoritative answers,
-// CNAME chains, negative responses):
+// CNAME chains, negative responses, TXT answers):
 //
 //   legacy    — a frozen copy of the pre-fastpath encoder (fresh vector per
 //               message, unordered_map<string> compression table), kept here
@@ -12,6 +12,12 @@
 //   unpooled  — the new single-pass encoder with WireBufferPool disabled
 //               (isolates the encoder rewrite from the pooling).
 //   pooled    — the production configuration.
+//
+// and the decoder two ways over the same messages' wire bytes:
+//
+//   fresh     — decode_message(wire): a new Message per datagram.
+//   reused    — decode_message(wire, target) into one Message, the way
+//               every node decodes into its own receive message.
 //
 // Allocation counts come from global operator new/delete overrides that are
 // linked into THIS binary only — the library itself carries no counting.
@@ -164,7 +170,7 @@ void legacy_encode_rdata(LegacyWriter& w, const Rdata& rdata) {
           w.u16(v.preference);
           w.name(v.exchange);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
-          for (const auto& s : v.strings) w.char_string(s);
+          for (const std::string_view s : v) w.char_string(s);
         } else if constexpr (std::is_same_v<T, SrvRdata>) {
           w.u16(v.priority);
           w.u16(v.weight);
@@ -335,15 +341,15 @@ struct ModeResult {
   double ns_per_op = 0.0;
 };
 
-template <typename EncodeFn>
-ModeResult measure(const std::vector<Message>& corpus, std::size_t iters,
-                   EncodeFn&& encode_one) {
-  // Warm-up pass (pool fill, cache warm); not counted.
-  for (const Message& m : corpus) encode_one(m);
+template <typename Item, typename Fn>
+ModeResult measure(const std::vector<Item>& corpus, std::size_t iters,
+                   Fn&& run_one) {
+  // Warm-up pass (pool fill, cache warm, reused targets grown); not counted.
+  for (const Item& item : corpus) run_one(item);
   g_allocs = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    encode_one(corpus[i % corpus.size()]);
+    run_one(corpus[i % corpus.size()]);
   }
   const auto t1 = std::chrono::steady_clock::now();
   ModeResult r;
@@ -418,6 +424,22 @@ int main(int argc, char** argv) {
     (void)wire;
   });
 
+  // Decoding the same messages' bytes into a new Message each time, then
+  // into one reused Message (the nodes' receive path).
+  std::vector<net::WireBuffer> wires;
+  for (const Message& m : corpus) wires.push_back(encode_message(m));
+  const auto decode_fresh =
+      measure(wires, iters, [](const net::WireBuffer& wire) {
+        const Message m = decode_message(wire);
+        (void)m;
+      });
+  Message target;
+  const auto decode_reused =
+      measure(wires, iters, [&target](const net::WireBuffer& wire) {
+        decode_message(wire, target);
+      });
+  const bool reused_decode_alloc_free = decode_reused.allocs_per_op == 0.0;
+
   // The acceptance gate is allocs/encode reduced >= 5x. The single-pass
   // encoder alone (pool disabled) clears it; a pooled steady-state encode
   // is typically allocation-free, so its ratio is reported only when the
@@ -435,6 +457,10 @@ int main(int argc, char** argv) {
               unpooled.allocs_per_op, unpooled.ns_per_op);
   std::printf("%-28s %14.3f %12.1f\n", "fastpath, pooled",
               pooled.allocs_per_op, pooled.ns_per_op);
+  std::printf("%-28s %14.3f %12.1f\n", "decode, fresh target",
+              decode_fresh.allocs_per_op, decode_fresh.ns_per_op);
+  std::printf("%-28s %14.3f %12.1f\n", "decode, reused target",
+              decode_reused.allocs_per_op, decode_reused.ns_per_op);
   std::printf("alloc reduction, encoder alone: %.1fx\n", reduction_encoder);
   if (pooled_alloc_free) {
     std::printf("alloc reduction, pooled: allocation-free steady state\n");
@@ -462,13 +488,23 @@ int main(int argc, char** argv) {
                  "    \"fastpath_pooled\": "
                  "{\"allocs_per_encode\": %.3f, \"ns_per_encode\": %.1f}\n"
                  "  },\n"
+                 "  \"decode\": {\n"
+                 "    \"fresh_target\": "
+                 "{\"allocs_per_decode\": %.3f, \"ns_per_decode\": %.1f},\n"
+                 "    \"reused_target\": "
+                 "{\"allocs_per_decode\": %.3f, \"ns_per_decode\": %.1f}\n"
+                 "  },\n"
                  "  \"alloc_reduction_encoder_alone\": %.1f,\n"
-                 "  \"pooled_allocation_free\": %s\n"
+                 "  \"pooled_allocation_free\": %s,\n"
+                 "  \"reused_decode_allocation_free\": %s\n"
                  "}\n",
                  corpus.size(), iters, legacy.allocs_per_op, legacy.ns_per_op,
                  unpooled.allocs_per_op, unpooled.ns_per_op,
-                 pooled.allocs_per_op, pooled.ns_per_op, reduction_encoder,
-                 pooled_alloc_free ? "true" : "false");
+                 pooled.allocs_per_op, pooled.ns_per_op,
+                 decode_fresh.allocs_per_op, decode_fresh.ns_per_op,
+                 decode_reused.allocs_per_op, decode_reused.ns_per_op,
+                 reduction_encoder, pooled_alloc_free ? "true" : "false",
+                 reused_decode_alloc_free ? "true" : "false");
     std::fclose(f);
     std::printf("json -> %s\n", json_path.c_str());
   }

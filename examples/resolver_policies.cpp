@@ -82,7 +82,7 @@ std::map<std::string, int> run_policy(resolver::PolicyKind kind, int n) {
                   for (const auto& rr : out.answers) {
                     if (rr.type() == dns::RRType::TXT) {
                       counts[std::get<dns::TxtRdata>(rr.rdata)
-                                 .strings.at(0)]++;
+                                 .strings().at(0)]++;
                     }
                   }
                 });

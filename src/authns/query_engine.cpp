@@ -8,51 +8,50 @@ constexpr int kMaxCnameChain = 8;  // defensive bound on in-zone loops
 
 }  // namespace
 
-void QueryEngine::answer_from_rrset(LookupResult& out,
-                                    const dns::RRset& set) const {
-  auto records = set.to_records();
-  out.answers.insert(out.answers.end(), records.begin(), records.end());
-}
-
-void QueryEngine::add_referral(LookupResult& out,
+void QueryEngine::add_referral(dns::Message& out,
                                const dns::RRset& delegation) const {
-  out.disposition = Disposition::Referral;
-  out.authoritative = false;
-  auto records = delegation.to_records();
-  out.authorities.insert(out.authorities.end(), records.begin(),
-                         records.end());
+  out.header.aa = false;
+  delegation.append_records(out.authorities);
   for (const auto& rd : delegation.rdatas) {
-    const auto& ns = std::get<dns::NsRdata>(rd);
-    auto glue = zone_.glue_for(ns.nsdname);
-    out.additionals.insert(out.additionals.end(), glue.begin(), glue.end());
+    zone_.append_glue(std::get<dns::NsRdata>(rd).nsdname, out.additionals);
   }
 }
 
-void QueryEngine::add_negative(LookupResult& out) const {
+void QueryEngine::add_negative(dns::Message& out) const {
   const auto soa_set = zone_.find(zone_.origin(), dns::RRType::SOA);
   if (soa_set != nullptr) {
     // Negative answers carry the SOA with the negative TTL (RFC 2308 §3).
-    for (auto rr : soa_set->to_records()) {
-      rr.ttl = zone_.negative_ttl();
-      out.authorities.push_back(std::move(rr));
-    }
+    soa_set->append_records(out.authorities, soa_set->name,
+                            zone_.negative_ttl());
   }
 }
 
 LookupResult QueryEngine::lookup(const dns::Question& q) const {
+  dns::Message m;
   LookupResult out;
+  out.disposition = lookup(q, m);
+  out.rcode = m.header.rcode;
+  out.authoritative = m.header.aa;
+  out.answers = std::move(m.answers);
+  out.authorities = std::move(m.authorities);
+  out.additionals = std::move(m.additionals);
+  return out;
+}
+
+Disposition QueryEngine::lookup(const dns::Question& q,
+                                dns::Message& out) const {
+  out.header.rcode = dns::Rcode::NoError;
+  out.header.aa = false;
   if (q.qclass != zone_.rrclass() && q.qclass != dns::RRClass::ANY) {
-    out.rcode = dns::Rcode::Refused;
-    out.disposition = Disposition::NotAuth;
-    return out;
+    out.header.rcode = dns::Rcode::Refused;
+    return Disposition::NotAuth;
   }
   if (!q.qname.is_subdomain_of(zone_.origin())) {
-    out.rcode = dns::Rcode::Refused;
-    out.disposition = Disposition::NotAuth;
-    return out;
+    out.header.rcode = dns::Rcode::Refused;
+    return Disposition::NotAuth;
   }
 
-  out.authoritative = true;
+  out.header.aa = true;
   dns::Name qname = q.qname;
 
   for (int chain = 0; chain <= kMaxCnameChain; ++chain) {
@@ -61,7 +60,7 @@ LookupResult QueryEngine::lookup(const dns::Question& q) const {
     //    RFC 1034, since we are not authoritative below the cut).
     if (const dns::RRset* cut = zone_.find_delegation(qname)) {
       add_referral(out, *cut);
-      return out;
+      return Disposition::Referral;
     }
 
     const auto* sets = zone_.find_all(qname);
@@ -73,7 +72,7 @@ LookupResult QueryEngine::lookup(const dns::Question& q) const {
       }
       if (cname != nullptr && q.qtype != dns::RRType::CNAME &&
           q.qtype != dns::RRType::ANY) {
-        answer_from_rrset(out, *cname);
+        cname->append_records(out.answers);
         const auto& target =
             std::get<dns::CnameRdata>(cname->rdatas.front()).target;
         if (target.is_subdomain_of(zone_.origin())) {
@@ -81,90 +80,71 @@ LookupResult QueryEngine::lookup(const dns::Question& q) const {
           continue;  // chase in-zone
         }
         // Out-of-zone target: answer ends with the CNAME.
-        out.disposition = Disposition::Answer;
-        return out;
+        return Disposition::Answer;
       }
       // 2b. Exact type match (or ANY: everything at the name).
       if (q.qtype == dns::RRType::ANY) {
         bool any = false;
         for (const auto& s : *sets) {
-          answer_from_rrset(out, s);
+          s.append_records(out.answers);
           any = true;
         }
-        if (any) {
-          out.disposition = Disposition::Answer;
-          return out;
-        }
+        if (any) return Disposition::Answer;
       } else {
         for (const auto& s : *sets) {
           if (s.type == q.qtype) {
-            answer_from_rrset(out, s);
-            out.disposition = Disposition::Answer;
+            s.append_records(out.answers);
             // NS answers at the apex get glue in additional.
             if (q.qtype == dns::RRType::NS) {
               for (const auto& rd : s.rdatas) {
-                auto glue =
-                    zone_.glue_for(std::get<dns::NsRdata>(rd).nsdname);
-                out.additionals.insert(out.additionals.end(), glue.begin(),
-                                       glue.end());
+                zone_.append_glue(std::get<dns::NsRdata>(rd).nsdname,
+                                  out.additionals);
               }
             }
-            return out;
+            return Disposition::Answer;
           }
         }
       }
       // 2c. Name exists, type doesn't: NODATA.
-      out.disposition = Disposition::NoData;
       add_negative(out);
-      return out;
+      return Disposition::NoData;
     }
 
     // 3. Empty non-terminal: exists implicitly -> NODATA.
     if (zone_.name_exists(qname)) {
-      out.disposition = Disposition::NoData;
       add_negative(out);
-      return out;
+      return Disposition::NoData;
     }
 
-    // 4. Wildcard synthesis.
+    // 4. Wildcard synthesis at the query name.
     if (const dns::RRset* wc = zone_.find_wildcard(qname, q.qtype)) {
-      for (auto rr : wc->to_records()) {
-        rr.name = qname;  // synthesize at the query name
-        out.answers.push_back(std::move(rr));
-      }
-      out.disposition = Disposition::Wildcard;
-      return out;
+      wc->append_records(out.answers, qname, wc->ttl);
+      return Disposition::Wildcard;
     }
     // Wildcard CNAME?
     if (const dns::RRset* wc_cname =
             zone_.find_wildcard(qname, dns::RRType::CNAME);
         wc_cname != nullptr && q.qtype != dns::RRType::CNAME) {
-      for (auto rr : wc_cname->to_records()) {
-        rr.name = qname;
-        out.answers.push_back(std::move(rr));
-      }
+      wc_cname->append_records(out.answers, qname, wc_cname->ttl);
       const auto& target =
           std::get<dns::CnameRdata>(wc_cname->rdatas.front()).target;
       if (target.is_subdomain_of(zone_.origin())) {
         qname = target;
         continue;
       }
-      out.disposition = Disposition::Wildcard;
-      return out;
+      return Disposition::Wildcard;
     }
 
     // 5. NXDOMAIN. A wildcard at the closest encloser for a *different*
     //    type means the name "exists" for NODATA purposes (RFC 4592), but
     //    we keep the simpler NXDOMAIN unless a wildcard of any common type
     //    applies — checked above for qtype and CNAME.
-    out.rcode = dns::Rcode::NxDomain;
-    out.disposition = Disposition::NxDomain;
+    out.header.rcode = dns::Rcode::NxDomain;
     add_negative(out);
-    return out;
+    return Disposition::NxDomain;
   }
   // CNAME chain exceeded the bound: answer with what we have.
-  out.disposition = Disposition::Answer;
-  return out;
+  return Disposition::Answer;
 }
 
 }  // namespace recwild::authns

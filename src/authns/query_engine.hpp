@@ -33,13 +33,19 @@ class QueryEngine {
  public:
   explicit QueryEngine(const Zone& zone) : zone_(zone) {}
 
-  /// Resolves one question against the zone.
+  /// Resolves one question against the zone into a caller-owned response:
+  /// sets its rcode and aa flag and appends to its three sections (which
+  /// the caller has emptied). Records are copied straight from the zone's
+  /// RRsets, so a response whose sections have grown before allocates
+  /// nothing. Returns the branch taken.
+  Disposition lookup(const dns::Question& q, dns::Message& out) const;
+
+  /// lookup into a fresh result.
   [[nodiscard]] LookupResult lookup(const dns::Question& q) const;
 
  private:
-  void answer_from_rrset(LookupResult& out, const dns::RRset& set) const;
-  void add_referral(LookupResult& out, const dns::RRset& delegation) const;
-  void add_negative(LookupResult& out) const;
+  void add_referral(dns::Message& out, const dns::RRset& delegation) const;
+  void add_negative(dns::Message& out) const;
 
   const Zone& zone_;
 };

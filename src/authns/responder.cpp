@@ -23,10 +23,11 @@ const Zone* Responder::zone_for(const dns::Name& origin) const {
   return nullptr;
 }
 
-dns::Message Responder::answer_chaos(const dns::Message& query) const {
+void Responder::answer_chaos(const dns::Message& query,
+                             dns::Message& resp) const {
   // NSD-style identity: CH TXT hostname.bind and id.server return the
   // configured identity string (RFC 4892 / RFC 8914 practice).
-  dns::Message resp = dns::Message::make_response(query);
+  resp.reset_response(query);
   const auto& q = query.question();
   static const dns::Name kHostnameBind = dns::Name::parse("hostname.bind");
   static const dns::Name kIdServer = dns::Name::parse("id.server");
@@ -38,22 +39,21 @@ dns::Message Responder::answer_chaos(const dns::Message& query) const {
   } else {
     resp.header.rcode = dns::Rcode::Refused;
   }
-  return resp;
 }
 
-dns::Message Responder::answer_axfr(const dns::Message& query,
-                                    bool via_stream) const {
-  dns::Message resp = dns::Message::make_response(query);
+void Responder::answer_axfr(const dns::Message& query, dns::Message& resp,
+                            bool via_stream) const {
+  resp.reset_response(query);
   // AXFR requires the stream transport (RFC 5936 §4.2): over UDP the
   // server replies with TC so the client retries over TCP.
   if (!via_stream) {
     resp.header.tc = true;
-    return resp;
+    return;
   }
   const Zone* zone = zone_for(query.question().qname);
   if (zone == nullptr || !zone->soa()) {
     resp.header.rcode = dns::Rcode::Refused;
-    return resp;
+    return;
   }
   resp.header.aa = true;
   // SOA first and last, the full zone in between.
@@ -67,7 +67,6 @@ dns::Message Responder::answer_axfr(const dns::Message& query,
     if (rr.type() != dns::RRType::SOA) resp.answers.push_back(rr);
   }
   resp.answers.push_back(*soa_it);
-  return resp;
 }
 
 std::size_t Responder::udp_limit(const dns::Message& query) const {
@@ -79,24 +78,25 @@ std::size_t Responder::udp_limit(const dns::Message& query) const {
                                  kMaxUdpPayload);
 }
 
-dns::Message Responder::answer(const dns::Message& query, bool via_stream,
-                               net::WireBuffer* wire_out,
-                               AnswerInfo* info) const {
+void Responder::answer(const dns::Message& query, dns::Message& resp,
+                       bool via_stream, net::WireBuffer* wire_out,
+                       AnswerInfo* info) const {
   if (query.questions.empty()) {
-    dns::Message resp;
-    resp.header = query.header;
-    resp.header.qr = true;
+    resp.reset_response(query);
+    resp.header.ra = query.header.ra;  // the header echoes unchanged
     resp.header.rcode = dns::Rcode::FormErr;
-    return resp;
+    return;
   }
   const auto& q = query.question();
   if (q.qclass == dns::RRClass::CH) {
     if (info != nullptr) info->disposition = Disposition::Answer;
-    return answer_chaos(query);
+    answer_chaos(query, resp);
+    return;
   }
   if (q.qtype == dns::RRType::AXFR) {
     if (info != nullptr) info->disposition = Disposition::Answer;
-    return answer_axfr(query, via_stream);
+    answer_axfr(query, resp, via_stream);
+    return;
   }
 
   // Find the most specific zone containing the qname.
@@ -109,30 +109,24 @@ dns::Message Responder::answer(const dns::Message& query, bool via_stream,
       best = &z;
     }
   }
-  dns::Message resp = dns::Message::make_response(query);
+  resp.reset_response(query);
   if (query.edns) {
     resp.edns = dns::EdnsInfo{};  // echo EDNS support, our own buffer size
     resp.edns->udp_payload_size = kMaxUdpPayload;
   }
   if (best == nullptr) {
     resp.header.rcode = dns::Rcode::Refused;
-    return resp;
+    return;
   }
-  const QueryEngine engine{*best};
-  LookupResult result = engine.lookup(q);
-  resp.header.rcode = result.rcode;
-  resp.header.aa = result.authoritative;
-  resp.answers = std::move(result.answers);
-  resp.authorities = std::move(result.authorities);
-  resp.additionals = std::move(result.additionals);
-  if (info != nullptr) info->disposition = result.disposition;
+  const Disposition disposition = QueryEngine{*best}.lookup(q, resp);
+  if (info != nullptr) info->disposition = disposition;
 
   // Referral-fanout cap: keep the first `max_referral_fanout` NS records
   // (zone order is canonical, so the kept set is deterministic) and only
   // the glue that still has a kept NS naming it. An NXNS-style delegation
   // listing dozens of victim servers leaves here listing at most the cap.
   if (config_.max_referral_fanout > 0 &&
-      result.disposition == Disposition::Referral &&
+      disposition == Disposition::Referral &&
       resp.authorities.size() >
           static_cast<std::size_t>(config_.max_referral_fanout)) {
     resp.authorities.resize(
@@ -164,7 +158,6 @@ dns::Message Responder::answer(const dns::Message& query, bool via_stream,
     }
     if (wire_out != nullptr) *wire_out = std::move(wire);
   }
-  return resp;
 }
 
 std::optional<net::WireBuffer> Responder::formerr_reply(

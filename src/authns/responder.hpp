@@ -91,16 +91,28 @@ class Responder {
     config_.max_referral_fanout = cap;
   }
 
-  /// Builds the response for `query`. Responses to stream (TCP) queries
-  /// are never truncated. When `wire_out` is non-null and the UDP size
-  /// check already encoded the response, the encoded bytes are handed back
-  /// so the caller does not encode a second time (empty = caller encodes).
-  /// When `info` is non-null it receives the lookup disposition and
-  /// whether the referral-fanout cap fired.
+  /// Builds the response for `query` in `resp` (a different Message),
+  /// replacing its contents but keeping its capacity: a transport that
+  /// answers every query into the same Message stops allocating once its
+  /// sections have grown. Responses to stream (TCP) queries are never
+  /// truncated. When `wire_out` is non-null and the UDP size check already
+  /// encoded the response, the encoded bytes are handed back so the caller
+  /// does not encode a second time (empty = caller encodes). When `info`
+  /// is non-null it receives the lookup disposition and whether the
+  /// referral-fanout cap fired.
+  void answer(const dns::Message& query, dns::Message& resp,
+              bool via_stream = false, net::WireBuffer* wire_out = nullptr,
+              AnswerInfo* info = nullptr) const;
+
+  /// answer into a fresh Message.
   [[nodiscard]] dns::Message answer(const dns::Message& query,
                                     bool via_stream = false,
                                     net::WireBuffer* wire_out = nullptr,
-                                    AnswerInfo* info = nullptr) const;
+                                    AnswerInfo* info = nullptr) const {
+    dns::Message resp;
+    answer(query, resp, via_stream, wire_out, info);
+    return resp;
+  }
 
   /// The truncation limit for a UDP response to `query`: the clamped
   /// client-advertised EDNS size, or plain_udp_limit without EDNS.
@@ -115,9 +127,9 @@ class Responder {
       std::span<const std::uint8_t> wire);
 
  private:
-  [[nodiscard]] dns::Message answer_chaos(const dns::Message& query) const;
-  [[nodiscard]] dns::Message answer_axfr(const dns::Message& query,
-                                         bool via_stream) const;
+  void answer_chaos(const dns::Message& query, dns::Message& resp) const;
+  void answer_axfr(const dns::Message& query, dns::Message& resp,
+                   bool via_stream) const;
 
   ResponderConfig config_;
   /// Served zones; shared immutable (replica worlds and anycast sites all

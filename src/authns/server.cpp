@@ -122,9 +122,9 @@ dns::Message AuthServer::answer(const dns::Message& query, bool via_stream,
 void AuthServer::on_datagram(const net::Datagram& dgram, net::NodeId at_node) {
   (void)at_node;  // this server IS the site; anycast siblings are separate
   ++queries_received_;
-  dns::Message query;
+  dns::Message& query = rx_;
   try {
-    query = dns::decode_message(dgram.payload);
+    dns::decode_message(dgram.payload, query);
   } catch (const dns::WireError&) {
     // Undecodable but carrying a full non-response header: answer FORMERR
     // so the client can fail fast instead of burning its retransmit budget
@@ -160,9 +160,9 @@ void AuthServer::on_datagram(const net::Datagram& dgram, net::NodeId at_node) {
     if (!query.questions.empty() && notify_handler_) {
       notify_handler_(query.question().qname, dgram.src.addr);
     }
-    dns::Message ack = dns::Message::make_response(query);
-    ack.header.aa = true;
-    network_.send(node_, dgram.dst, dgram.src, dns::encode_message(ack));
+    tx_.reset_response(query);
+    tx_.header.aa = true;
+    network_.send(node_, dgram.dst, dgram.src, dns::encode_message(tx_));
     return;
   }
 
@@ -187,15 +187,15 @@ void AuthServer::on_datagram(const net::Datagram& dgram, net::NodeId at_node) {
   if (fault_provider_) fault = fault_provider_(network_.sim().now());
   if (fault.mode == AuthFailMode::Unresponsive) return;
 
-  dns::Message resp;
+  dns::Message& resp = tx_;
   net::WireBuffer wire;
   AnswerInfo info;
   if (fault.mode == AuthFailMode::Refused) {
-    resp = dns::Message::make_response(query);
+    resp.reset_response(query);
     resp.header.rcode = dns::Rcode::Refused;
     obs_fault_refused_->add(1, network_.sim().now());
   } else {
-    resp = responder_.answer(query, dgram.via_stream, &wire, &info);
+    responder_.answer(query, resp, dgram.via_stream, &wire, &info);
     if (info.referral_capped) {
       obs_referral_capped_->add(1, network_.sim().now());
     }

@@ -179,6 +179,11 @@ class AuthServer {
   AuthFaultProvider fault_provider_;
   QueryLog log_;
   Rrl rrl_;
+  /// This node's receive and transmit messages: every query decodes into
+  /// rx_ and every reply is built in tx_, reusing their capacity. Both are
+  /// valid only inside on_datagram; nothing scheduled may capture them.
+  dns::Message rx_;
+  dns::Message tx_;
   bool listening_ = false;
   bool down_ = false;
   bool victim_ = false;

@@ -127,14 +127,16 @@ const RRset* Zone::find_wildcard(const Name& name, RRType type) const {
   return find(wildcard, type);
 }
 
+void Zone::append_glue(const Name& target,
+                       std::vector<ResourceRecord>& out) const {
+  for (const RRType t : {RRType::A, RRType::AAAA}) {
+    if (const RRset* s = find(target, t)) s->append_records(out);
+  }
+}
+
 std::vector<ResourceRecord> Zone::glue_for(const Name& target) const {
   std::vector<ResourceRecord> out;
-  for (const RRType t : {RRType::A, RRType::AAAA}) {
-    if (const RRset* s = find(target, t)) {
-      auto records = s->to_records();
-      out.insert(out.end(), records.begin(), records.end());
-    }
-  }
+  append_glue(target, out);
   return out;
 }
 
@@ -179,10 +181,7 @@ std::vector<ResourceRecord> Zone::all_records() const {
   std::vector<ResourceRecord> out;
   out.reserve(record_count());
   for (const auto& [name, sets] : names_) {
-    for (const auto& s : sets) {
-      auto records = s.to_records();
-      out.insert(out.end(), records.begin(), records.end());
-    }
+    for (const auto& s : sets) s.append_records(out);
   }
   return out;
 }

@@ -76,8 +76,11 @@ class Zone {
   [[nodiscard]] const RRset* find_wildcard(const Name& name,
                                            RRType type) const;
 
-  /// Glue lookup: A/AAAA records for `target` if present in zone data
-  /// (used to stuff the additional section of referrals and NS answers).
+  /// Glue lookup: appends the A/AAAA records for `target` present in zone
+  /// data to `out` (the additional section of referrals and NS answers).
+  void append_glue(const Name& target,
+                   std::vector<ResourceRecord>& out) const;
+  /// append_glue into a fresh vector.
   [[nodiscard]] std::vector<ResourceRecord> glue_for(const Name& target) const;
 
   /// Sanity checks NSD performs at load: SOA present at apex, at least one

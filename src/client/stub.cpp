@@ -1,5 +1,7 @@
 #include "client/stub.hpp"
 
+#include <algorithm>
+
 namespace recwild::client {
 
 namespace {
@@ -52,12 +54,18 @@ void StubResolver::query(dns::Name qname, dns::RRType qtype, StubCallback cb) {
   std::uint16_t txid = static_cast<std::uint16_t>(rng_.next());
   while (pending_.contains(txid)) ++txid;
 
-  Pending p;
+  Pending& p = pending_nodes_.try_emplace(pending_, txid).first->second;
   p.question = dns::Question{std::move(qname), qtype, dns::RRClass::IN};
   p.cb = std::move(cb);
   p.started_at = network_.sim().now();
-  pending_.emplace(txid, std::move(p));
   send_attempt(txid);
+}
+
+void StubResolver::complete(PendingMap::iterator it,
+                            const StubResult& result) {
+  auto cb = std::move(it->second.cb);
+  pending_nodes_.erase(pending_, it);
+  cb(result);
 }
 
 void StubResolver::send_attempt(std::uint16_t txid) {
@@ -72,9 +80,7 @@ void StubResolver::send_attempt(std::uint16_t txid) {
     result.question = p.question;
     result.timed_out = true;
     result.elapsed = network_.sim().now() - p.started_at;
-    auto cb = std::move(p.cb);
-    pending_.erase(it);
-    cb(result);
+    complete(it, result);
     return;
   }
 
@@ -83,12 +89,11 @@ void StubResolver::send_attempt(std::uint16_t txid) {
   p.recursive_index = idx;
   ++p.attempts;
 
-  dns::Message query =
-      dns::Message::make_query(txid, p.question.qname, p.question.qtype);
-  query.header.rd = true;
+  tx_.reset_query(txid, p.question.qname, p.question.qtype);
+  tx_.header.rd = true;
   network_.send(node_, ep_,
                 net::Endpoint{recursives_[idx], net::kDnsPort},
-                dns::encode_message(query));
+                dns::encode_message(tx_));
   p.timeout_event = network_.sim().after(
       config_.attempt_timeout, [this, txid] { on_timeout(txid); });
 }
@@ -98,9 +103,14 @@ void StubResolver::on_timeout(std::uint16_t txid) {
 }
 
 void StubResolver::on_datagram(const net::Datagram& dgram) {
-  dns::Message resp;
+  if (dgram.src.port != net::kDnsPort ||
+      std::find(recursives_.begin(), recursives_.end(), dgram.src.addr) ==
+          recursives_.end()) {
+    return;  // not from a recursive we asked: off-path or stray
+  }
+  dns::Message& resp = rx_;
   try {
-    resp = dns::decode_message(dgram.payload);
+    dns::decode_message(dgram.payload, resp);
   } catch (const dns::WireError&) {
     return;
   }
@@ -114,22 +124,25 @@ void StubResolver::on_datagram(const net::Datagram& dgram) {
   }
   network_.sim().cancel(p.timeout_event);
 
+  // The result borrows the decoded records and the TXT string storage and
+  // hands both back after the callback, so answering allocates nothing.
   StubResult result;
   result.question = p.question;
   result.rcode = resp.header.rcode;
-  result.answers = resp.answers;
+  result.answers.swap(resp.answers);
+  result.txt.swap(txt_);
   result.elapsed = network_.sim().now() - p.started_at;
   result.recursive_index = p.recursive_index;
-  for (const auto& rr : resp.answers) {
-    if (rr.type() == dns::RRType::TXT) {
-      const auto& txt = std::get<dns::TxtRdata>(rr.rdata);
-      result.txt.insert(result.txt.end(), txt.strings.begin(),
-                        txt.strings.end());
+  result.txt.clear();
+  for (const auto& rr : result.answers) {
+    if (rr.type() != dns::RRType::TXT) continue;
+    for (const std::string_view s : std::get<dns::TxtRdata>(rr.rdata)) {
+      result.txt.emplace_back(s);
     }
   }
-  auto cb = std::move(p.cb);
-  pending_.erase(it);
-  cb(result);
+  complete(it, result);
+  resp.answers.swap(result.answers);
+  txt_.swap(result.txt);
 }
 
 }  // namespace recwild::client

@@ -15,6 +15,7 @@
 #include "dnscore/codec.hpp"
 #include "dnscore/message.hpp"
 #include "net/network.hpp"
+#include "stats/node_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace recwild::client {
@@ -75,9 +76,17 @@ class StubResolver {
     net::EventId timeout_event = 0;
   };
 
+  using PendingMap = std::unordered_map<std::uint16_t, Pending>;
+
   void send_attempt(std::uint16_t txid);
+  /// Accepts a reply only from one of the configured recursives' port 53
+  /// — any of them, as glibc does, so a late reply from the recursive
+  /// asked before a rotation still counts — and only for a pending txid
+  /// and question.
   void on_datagram(const net::Datagram& dgram);
   void on_timeout(std::uint16_t txid);
+  /// Removes the query at `it` and calls its callback with `result`.
+  void complete(PendingMap::iterator it, const StubResult& result);
 
   net::Network& network_;
   net::NodeId node_;
@@ -87,7 +96,14 @@ class StubResolver {
   stats::Rng rng_;
   net::Endpoint ep_;
   bool listening_ = false;
-  std::unordered_map<std::uint16_t, Pending> pending_;  // by txid
+  PendingMap pending_;  // by txid
+  stats::NodePool<PendingMap> pending_nodes_;
+  /// This node's receive and transmit messages, reused across queries,
+  /// and the storage of a result's TXT strings. The received message is
+  /// valid only inside on_datagram; nothing scheduled may capture it.
+  dns::Message rx_;
+  dns::Message tx_;
+  std::vector<std::string> txt_;
 };
 
 }  // namespace recwild::client

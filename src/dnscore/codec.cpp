@@ -80,15 +80,14 @@ void encode_opt(WireWriter& w, const EdnsInfo& edns) {
               static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
-ResourceRecord decode_record(WireReader& r) {
-  ResourceRecord rr;
+void decode_record(WireReader& r, std::vector<ResourceRecord>& out) {
+  ResourceRecord& rr = out.emplace_back();
   rr.name = r.name();
   const auto type = static_cast<RRType>(r.u16());
   rr.rrclass = static_cast<RRClass>(r.u16());
   rr.ttl = r.u32();
   const std::uint16_t rdlength = r.u16();
   rr.rdata = decode_rdata(r, type, rdlength);
-  return rr;
 }
 
 }  // namespace
@@ -121,9 +120,13 @@ net::WireBuffer encode_message(const Message& m) {
   return std::move(w).take();
 }
 
-Message decode_message(std::span<const std::uint8_t> wire) {
+void decode_message(std::span<const std::uint8_t> wire, Message& m) {
   WireReader r{wire};
-  Message m;
+  m.questions.clear();
+  m.answers.clear();
+  m.authorities.clear();
+  m.additionals.clear();
+  m.edns.reset();
   const std::uint16_t id = r.u16();
   const std::uint16_t flags = r.u16();
   m.header = unpack_flags(id, flags);
@@ -143,19 +146,16 @@ Message decode_message(std::span<const std::uint8_t> wire) {
 
   m.questions.reserve(bounded(qdcount, 5));
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    Question q;
+    Question& q = m.questions.emplace_back();
     q.qname = r.name();
     q.qtype = static_cast<RRType>(r.u16());
     q.qclass = static_cast<RRClass>(r.u16());
-    m.questions.push_back(std::move(q));
   }
   m.answers.reserve(bounded(ancount, 11));
-  for (std::uint16_t i = 0; i < ancount; ++i) {
-    m.answers.push_back(decode_record(r));
-  }
+  for (std::uint16_t i = 0; i < ancount; ++i) decode_record(r, m.answers);
   m.authorities.reserve(bounded(nscount, 11));
   for (std::uint16_t i = 0; i < nscount; ++i) {
-    m.authorities.push_back(decode_record(r));
+    decode_record(r, m.authorities);
   }
   for (std::uint16_t i = 0; i < arcount; ++i) {
     // OPT needs its header fields, so decode it inline rather than through
@@ -174,13 +174,18 @@ Message decode_message(std::span<const std::uint8_t> wire) {
       edns.dnssec_ok = (ttl & 0x8000) != 0;
       const std::uint16_t rdlength = r.u16();
       Rdata rd = decode_rdata(r, RRType::OPT, rdlength);
-      edns.options = std::get<OptRdata>(rd);
+      edns.options = std::move(std::get<OptRdata>(rd));
       m.edns = std::move(edns);
     } else {
       r.seek(mark);
-      m.additionals.push_back(decode_record(r));
+      decode_record(r, m.additionals);
     }
   }
+}
+
+Message decode_message(std::span<const std::uint8_t> wire) {
+  Message m;
+  decode_message(wire, m);
   return m;
 }
 

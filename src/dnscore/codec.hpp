@@ -16,8 +16,15 @@ namespace recwild::dns {
 /// Throws WireError on structural problems (e.g. >65535 records).
 net::WireBuffer encode_message(const Message& m);
 
-/// Parses a wire-format message. Throws WireError on malformed input.
-/// An OPT record in the additional section is lifted into Message::edns.
+/// Parses a wire-format message into `out`, replacing its contents but
+/// keeping the capacity of its sections, so a node that decodes every
+/// datagram into the same Message stops allocating once its sections have
+/// grown. Throws WireError on malformed input, leaving `out` unspecified
+/// but valid (the next decode into it starts afresh). An OPT record in the
+/// additional section is lifted into Message::edns.
+void decode_message(std::span<const std::uint8_t> wire, Message& out);
+
+/// decode_message into a fresh Message.
 Message decode_message(std::span<const std::uint8_t> wire);
 
 }  // namespace recwild::dns

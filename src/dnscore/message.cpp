@@ -1,5 +1,7 @@
 #include "dnscore/message.hpp"
 
+#include <type_traits>
+
 namespace recwild::dns {
 
 std::string Question::to_string() const {
@@ -7,22 +9,53 @@ std::string Question::to_string() const {
          std::string{dns::to_string(qtype)};
 }
 
-Message Message::make_query(std::uint16_t id, Name qname, RRType qtype,
+void Message::reset_query(std::uint16_t id, const Name& qname, RRType qtype,
+                          RRClass qclass) {
+  header = Header{};
+  header.id = id;
+  questions.clear();
+  questions.push_back(Question{qname, qtype, qclass});
+  answers.clear();
+  authorities.clear();
+  additionals.clear();
+  edns.reset();
+}
+
+void Message::reset_response(const Message& query) {
+  if (this != &query) {
+    header = query.header;
+    questions = query.questions;
+  }
+  header.qr = true;
+  header.ra = false;
+  answers.clear();
+  authorities.clear();
+  additionals.clear();
+  edns.reset();
+}
+
+void Message::trim(std::size_t max_records) {
+  const auto release = [max_records](auto& section) {
+    if (section.capacity() > max_records) {
+      std::remove_reference_t<decltype(section)>{}.swap(section);
+    }
+  };
+  release(questions);
+  release(answers);
+  release(authorities);
+  release(additionals);
+}
+
+Message Message::make_query(std::uint16_t id, const Name& qname, RRType qtype,
                             RRClass qclass) {
   Message m;
-  m.header.id = id;
-  m.header.qr = false;
-  m.header.opcode = Opcode::Query;
-  m.questions.push_back(Question{std::move(qname), qtype, qclass});
+  m.reset_query(id, qname, qtype, qclass);
   return m;
 }
 
 Message Message::make_response(const Message& query) {
   Message m;
-  m.header = query.header;
-  m.header.qr = true;
-  m.header.ra = false;
-  m.questions = query.questions;
+  m.reset_response(query);
   return m;
 }
 

@@ -3,6 +3,7 @@
 // packed fields don't leak into user code.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -56,16 +57,33 @@ struct Message {
   /// Convenience: the first (and in practice only) question.
   [[nodiscard]] const Question& question() const { return questions.at(0); }
 
-  /// Builds a query with a fresh question, RD clear (iterative by default —
-  /// recursive-to-authoritative traffic is what this library simulates).
-  static Message make_query(std::uint16_t id, Name qname, RRType qtype,
-                            RRClass qclass = RRClass::IN);
+  /// Makes this message a query with one question, RD clear (iterative by
+  /// default — recursive-to-authoritative traffic is what this library
+  /// simulates) and no EDNS. Keeps the capacity of the sections, so a
+  /// node's reused transmit message builds queries without allocating.
+  void reset_query(std::uint16_t id, const Name& qname, RRType qtype,
+                   RRClass qclass = RRClass::IN);
 
-  /// Builds a response skeleton echoing `query`'s id/question/opcode.
+  /// Makes this message a response skeleton echoing `query`'s
+  /// id/question/opcode, with empty sections and no EDNS; keeps capacity.
+  void reset_response(const Message& query);
+
+  /// Releases the storage of each section with room for more than
+  /// `max_records` records, so a reused message does not keep the largest
+  /// message it ever held.
+  void trim(std::size_t max_records);
+
+  /// reset_query on a fresh Message.
+  static Message make_query(std::uint16_t id, const Name& qname,
+                            RRType qtype, RRClass qclass = RRClass::IN);
+
+  /// reset_response on a fresh Message.
   static Message make_response(const Message& query);
 
   /// Multi-line dig-style rendering for logs and examples.
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const Message&) const = default;
 };
 
 }  // namespace recwild::dns

@@ -1,8 +1,69 @@
 #include "dnscore/rdata.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <stdexcept>
 
 namespace recwild::dns {
+
+namespace {
+
+std::atomic<std::uint64_t> g_txt_heap_spills{0};
+
+}  // namespace
+
+TxtRdata::TxtRdata(const std::vector<std::string>& strings) {
+  for (const auto& s : strings) append(s);
+}
+
+std::uint8_t* TxtRdata::allocate(std::size_t size) {
+  g_txt_heap_spills.fetch_add(1, std::memory_order_relaxed);
+  return new std::uint8_t[size];
+}
+
+std::uint64_t TxtRdata::heap_spills() noexcept {
+  return g_txt_heap_spills.load(std::memory_order_relaxed);
+}
+
+void TxtRdata::assign(std::span<const std::uint8_t> bytes) {
+  std::uint8_t* block =
+      bytes.size() > kInlineCapacity ? allocate(bytes.size()) : nullptr;
+  free_heap();
+  size_ = static_cast<std::uint16_t>(bytes.size());
+  if (block != nullptr) set_heap(block);
+  if (!bytes.empty()) {
+    std::memcpy(block != nullptr ? block : buf_, bytes.data(), bytes.size());
+  }
+}
+
+TxtRdata TxtRdata::from_wire(std::span<const std::uint8_t> wire) {
+  if (wire.size() > 0xffff) throw WireError{"TXT RDATA exceeds 65535 octets"};
+  for (std::size_t p = 0; p < wire.size(); p += 1 + std::size_t{wire[p]}) {
+    if (p + 1 + wire[p] > wire.size()) {
+      throw WireError{"RDATA length mismatch in TXT"};
+    }
+  }
+  TxtRdata out;
+  out.assign(wire);
+  return out;
+}
+
+void TxtRdata::append(std::string_view s) {
+  if (s.size() > 255) {
+    throw std::invalid_argument{"TXT: character-string exceeds 255 octets"};
+  }
+  if (std::size_t{size_} + 1 + s.size() > 0xffff) {
+    throw std::invalid_argument{"TXT: RDATA exceeds 65535 octets"};
+  }
+  std::vector<std::uint8_t> bytes(data(), data() + size_);
+  bytes.push_back(static_cast<std::uint8_t>(s.size()));
+  bytes.insert(bytes.end(), s.begin(), s.end());
+  assign(bytes);
+}
+
+std::vector<std::string> TxtRdata::strings() const {
+  return {begin(), end()};
+}
 
 namespace {
 
@@ -55,7 +116,7 @@ void encode_rdata(WireWriter& w, const Rdata& rdata) {
           w.u16(v.preference);
           w.name(v.exchange);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
-          for (const auto& s : v.strings) w.char_string(s);
+          w.bytes(v.wire());
         } else if constexpr (std::is_same_v<T, SrvRdata>) {
           w.u16(v.priority);
           w.u16(v.weight);
@@ -94,7 +155,7 @@ Rdata decode_rdata(WireReader& r, RRType type, std::size_t rdlength) {
     case RRType::AAAA: {
       if (rdlength != 16) throw WireError{"AAAA RDATA must be 16 octets"};
       AaaaRdata v;
-      const auto raw = r.bytes(16);
+      const auto raw = r.view(16);
       std::copy(raw.begin(), raw.end(), v.address.begin());
       return v;
     }
@@ -132,12 +193,8 @@ Rdata decode_rdata(WireReader& r, RRType type, std::size_t rdlength) {
       check_end("MX");
       return v;
     }
-    case RRType::TXT: {
-      TxtRdata v;
-      while (r.offset() < end) v.strings.push_back(r.char_string());
-      check_end("TXT");
-      return v;
-    }
+    case RRType::TXT:
+      return TxtRdata::from_wire(r.view(rdlength));
     case RRType::SRV: {
       SrvRdata v;
       v.priority = r.u16();
@@ -164,7 +221,7 @@ Rdata decode_rdata(WireReader& r, RRType type, std::size_t rdlength) {
       v.flags = r.u8();
       v.tag = r.char_string();
       if (r.offset() > end) throw WireError{"CAA tag overruns RDATA"};
-      const auto raw = r.bytes(end - r.offset());
+      const auto raw = r.view(end - r.offset());
       v.value.assign(raw.begin(), raw.end());
       return v;
     }
@@ -215,9 +272,11 @@ std::string rdata_to_string(const Rdata& rdata) {
           return std::to_string(v.preference) + " " + v.exchange.to_string();
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
           std::string out;
-          for (const auto& s : v.strings) {
+          for (const std::string_view s : v) {
             if (!out.empty()) out += ' ';
-            out += '"' + s + '"';
+            out += '"';
+            out += s;
+            out += '"';
           }
           return out;
         } else if constexpr (std::is_same_v<T, SrvRdata>) {

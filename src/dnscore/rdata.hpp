@@ -7,7 +7,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -60,10 +64,137 @@ struct MxRdata {
   bool operator==(const MxRdata&) const = default;
 };
 
-struct TxtRdata {
-  std::vector<std::string> strings;  // one or more character-strings
-  bool operator==(const TxtRdata&) const = default;
+/// TXT RDATA (RFC 1035 §3.3.14): one or more character-strings, held as
+/// their wire form (each string a length octet followed by its bytes), the
+/// way Name holds its labels. RDATA of up to kInlineCapacity octets lives
+/// inside the object; longer RDATA spills to one heap block of exactly its
+/// size. A probe answer (one short site code) is copied, decoded and cached
+/// without touching the heap. Equality compares the bytes, so it is
+/// case-sensitive, as character-strings are.
+class TxtRdata {
+ public:
+  /// Sized so that TxtRdata, like SoaRdata, fills 120 bytes and Rdata stays
+  /// 128.
+  static constexpr std::size_t kInlineCapacity = 118;
+
+  /// Forward iterator over the character-strings. Yields views into the
+  /// TxtRdata, valid while it is alive and unmodified.
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::string_view;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::string_view;
+
+    Iterator() = default;
+    std::string_view operator*() const noexcept {
+      return {reinterpret_cast<const char*>(p_ + 1), *p_};
+    }
+    Iterator& operator++() noexcept {
+      p_ += 1 + std::size_t{*p_};
+      return *this;
+    }
+    Iterator operator++(int) noexcept {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    friend class TxtRdata;
+    explicit Iterator(const std::uint8_t* p) : p_(p) {}
+    const std::uint8_t* p_ = nullptr;
+  };
+
+  /// No strings (a decoded zero-length RDATA; not valid in a zone).
+  TxtRdata() = default;
+  /// From character-strings: TxtRdata{{"FRA"}}, TxtRdata{{"a", "b"}}.
+  /// Throws std::invalid_argument as append() does.
+  TxtRdata(const std::vector<std::string>& strings);  // NOLINT(*-explicit-*)
+
+  TxtRdata(const TxtRdata& o) : size_(o.size_) {
+    if (o.spilled()) {
+      set_heap(allocate(size_));
+      std::memcpy(heap(), o.heap(), size_);
+    } else {
+      std::memcpy(buf_, o.buf_, kInlineCapacity);
+    }
+  }
+  TxtRdata(TxtRdata&& o) noexcept : size_(o.size_) {
+    std::memcpy(buf_, o.buf_, kInlineCapacity);  // bytes or heap pointer
+    o.size_ = 0;
+  }
+  TxtRdata& operator=(const TxtRdata& o) {
+    if (this != &o) *this = TxtRdata{o};
+    return *this;
+  }
+  TxtRdata& operator=(TxtRdata&& o) noexcept {
+    if (this != &o) {
+      free_heap();
+      std::memcpy(buf_, o.buf_, kInlineCapacity);
+      size_ = o.size_;
+      o.size_ = 0;
+    }
+    return *this;
+  }
+  ~TxtRdata() { free_heap(); }
+
+  /// Adopts wire-form RDATA. Throws WireError when a length octet runs past
+  /// the end.
+  static TxtRdata from_wire(std::span<const std::uint8_t> wire);
+
+  /// Appends one character-string. Throws std::invalid_argument when it
+  /// exceeds 255 octets or the RDATA would exceed 65535.
+  void append(std::string_view s);
+
+  [[nodiscard]] Iterator begin() const noexcept { return Iterator{data()}; }
+  [[nodiscard]] Iterator end() const noexcept {
+    return Iterator{data() + size_};
+  }
+  /// The strings as owned copies, for tests and presentation code.
+  [[nodiscard]] std::vector<std::string> strings() const;
+
+  /// The RDATA exactly as it goes on the wire.
+  [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept {
+    return {data(), size_};
+  }
+  [[nodiscard]] bool spilled() const noexcept {
+    return size_ > kInlineCapacity;
+  }
+
+  bool operator==(const TxtRdata& o) const noexcept {
+    return size_ == o.size_ && std::memcmp(data(), o.data(), size_) == 0;
+  }
+
+  /// Heap blocks allocated for spilled TXT RDATA by all threads since start.
+  [[nodiscard]] static std::uint64_t heap_spills() noexcept;
+
+ private:
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return spilled() ? heap() : buf_;
+  }
+  [[nodiscard]] std::uint8_t* heap() const noexcept {
+    std::uint8_t* p = nullptr;
+    std::memcpy(&p, buf_, sizeof p);
+    return p;
+  }
+  void set_heap(std::uint8_t* p) noexcept { std::memcpy(buf_, &p, sizeof p); }
+  void free_heap() noexcept {
+    if (spilled()) delete[] heap();
+  }
+  /// Replaces the bytes with `bytes`.
+  void assign(std::span<const std::uint8_t> bytes);
+  /// A new heap block of `size` bytes, counted in heap_spills().
+  static std::uint8_t* allocate(std::size_t size);
+
+  /// The RDATA while it fits; once spilled, the heap block's address.
+  alignas(std::uint8_t*) std::uint8_t buf_[kInlineCapacity]{};
+  std::uint16_t size_ = 0;  // RDATA octets
 };
+
+static_assert(sizeof(TxtRdata) == 120);
 
 struct SrvRdata {
   std::uint16_t priority = 0;
@@ -103,6 +234,8 @@ struct RawRdata {
 using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, PtrRdata,
                            SoaRdata, MxRdata, TxtRdata, SrvRdata, OptRdata,
                            CaaRdata, RawRdata>;
+
+static_assert(sizeof(Rdata) <= 128);
 
 /// The RRType a given Rdata value represents.
 RRType rdata_type(const Rdata& rdata) noexcept;

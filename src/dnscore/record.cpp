@@ -1,7 +1,5 @@
 #include "dnscore/record.hpp"
 
-#include <algorithm>
-
 namespace recwild::dns {
 
 std::string ResourceRecord::to_string() const {
@@ -10,29 +8,23 @@ std::string ResourceRecord::to_string() const {
          std::string{dns::to_string(type())} + " " + rdata_to_string(rdata);
 }
 
+void RRset::append_records(std::vector<ResourceRecord>& out,
+                           const Name& owner, Ttl ttl) const {
+  for (const auto& rd : rdatas) {
+    out.push_back(ResourceRecord{owner, rrclass, ttl, rd});
+  }
+}
+
 std::vector<ResourceRecord> RRset::to_records() const {
   std::vector<ResourceRecord> out;
-  out.reserve(rdatas.size());
-  for (const auto& rd : rdatas) {
-    out.push_back(ResourceRecord{name, rrclass, ttl, rd});
-  }
+  append_records(out);
   return out;
 }
 
 std::vector<RRset> group_rrsets(const std::vector<ResourceRecord>& records) {
   std::vector<RRset> sets;
-  for (const auto& rr : records) {
-    const RRType t = rr.type();
-    auto it = std::find_if(sets.begin(), sets.end(), [&](const RRset& s) {
-      return s.type == t && s.rrclass == rr.rrclass && s.name == rr.name;
-    });
-    if (it == sets.end()) {
-      sets.push_back(RRset{rr.name, rr.rrclass, t, rr.ttl, {rr.rdata}});
-    } else {
-      it->ttl = std::min(it->ttl, rr.ttl);
-      it->rdatas.push_back(rr.rdata);
-    }
-  }
+  for_each_rrset(records,
+                 [&sets](RRset&& set) { sets.push_back(std::move(set)); });
   return sets;
 }
 

@@ -255,11 +255,15 @@ std::uint32_t WireReader::u32() {
 }
 
 std::vector<std::uint8_t> WireReader::bytes(std::size_t n) {
+  const auto v = view(n);
+  return {v.begin(), v.end()};
+}
+
+std::span<const std::uint8_t> WireReader::view(std::size_t n) {
   require(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                data_.begin() + static_cast<long>(pos_ + n));
+  const auto v = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return v;
 }
 
 void WireReader::skip(std::size_t n) {

@@ -103,6 +103,8 @@ class WireReader {
   std::uint16_t u16();
   std::uint32_t u32();
   std::vector<std::uint8_t> bytes(std::size_t n);
+  /// The next `n` octets in place, without a copy; valid while the input is.
+  std::span<const std::uint8_t> view(std::size_t n);
   void skip(std::size_t n);
 
   /// Reads a (possibly compressed) name. Pointers may only point backwards;

@@ -333,7 +333,12 @@ std::vector<ResourceRecord> parse_zone_text(std::string_view text,
       case RRType::TXT: {
         if (args.empty()) throw ZoneParseError{lineno, "TXT needs strings"};
         TxtRdata txt;
-        for (const auto& a : args) txt.strings.push_back(a.text);
+        for (const auto& a : args) {
+          if (a.text.size() > 255) {
+            throw ZoneParseError{lineno, "TXT string exceeds 255 octets"};
+          }
+          txt.append(a.text);
+        }
         rdata = std::move(txt);
         break;
       }

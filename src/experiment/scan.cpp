@@ -143,8 +143,8 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
             for (const auto& rr : outcome.answers) {
               if (rr.type() == dns::RRType::TXT) {
                 const auto& txt = std::get<dns::TxtRdata>(rr.rdata);
-                row.answers.insert(row.answers.end(), txt.strings.begin(),
-                                   txt.strings.end());
+                row.answers.insert(row.answers.end(), txt.begin(),
+                                   txt.end());
               } else {
                 row.answers.push_back(dns::rdata_to_string(rr.rdata));
               }

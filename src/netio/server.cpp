@@ -89,6 +89,11 @@ struct Server::Worker {
 
   // Worker-private, touched only by this worker's epoll thread.
   authns::Rrl rrl;
+  /// The worker's receive and transmit messages: every query decodes into
+  /// rx and every response is built in tx, reusing their capacity. Each
+  /// worker owns its own pair, so workers share no message.
+  dns::Message rx;
+  dns::Message tx;
 };
 
 Server::Server(const authns::Responder& responder, ServerConfig config)
@@ -183,46 +188,45 @@ namespace {
 
 /// Facts the UDP path needs to run RRL on an answer after the fact:
 /// only Responder::answer responses are limitable (`answered`), and the
-/// category wants the rcode + lookup disposition. The decoded query is
-/// kept for building the TC slip.
+/// category wants the rcode + lookup disposition. The TC slip is built
+/// from the query still in the worker's rx message.
 struct AnswerMeta {
   bool answered = false;
   dns::Rcode rcode = dns::Rcode::NoError;
   authns::AnswerInfo info{};
-  dns::Message query{};
 };
 
-/// The transport-independent step both sockets share: decode, answer via
-/// the Responder, encode. Mirrors the simulated AuthServer::on_datagram
-/// exactly (QR drop, NOTIFY ack, FORMERR for undecodable-but-headered
-/// input) — divergence here would break transport equivalence.
+/// The transport-independent step both sockets share: decode into `rx`,
+/// answer into `tx` via the Responder, encode. Mirrors the simulated
+/// AuthServer::on_datagram exactly (QR drop, NOTIFY ack, FORMERR for
+/// undecodable-but-headered input) — divergence here would break
+/// transport equivalence.
 std::optional<net::WireBuffer> respond(const authns::Responder& responder,
                                        std::span<const std::uint8_t> wire,
                                        bool via_stream, bool& was_formerr,
+                                       dns::Message& rx, dns::Message& tx,
                                        AnswerMeta* meta = nullptr) {
   was_formerr = false;
-  dns::Message local_query;
-  dns::Message& query = meta != nullptr ? meta->query : local_query;
   try {
-    query = dns::decode_message(wire);
+    dns::decode_message(wire, rx);
   } catch (const dns::WireError&) {
     auto reply = authns::Responder::formerr_reply(wire);
     was_formerr = reply.has_value();
     return reply;
   }
-  if (query.header.qr) return std::nullopt;  // never answer a response
-  if (query.header.opcode == dns::Opcode::Notify) {
-    dns::Message ack = dns::Message::make_response(query);
-    ack.header.aa = true;
-    return dns::encode_message(ack);
+  if (rx.header.qr) return std::nullopt;  // never answer a response
+  if (rx.header.opcode == dns::Opcode::Notify) {
+    tx.reset_response(rx);
+    tx.header.aa = true;
+    return dns::encode_message(tx);
   }
   net::WireBuffer out;
-  const dns::Message resp = responder.answer(
-      query, via_stream, &out, meta != nullptr ? &meta->info : nullptr);
-  if (out.empty()) out = dns::encode_message(resp);
+  responder.answer(rx, tx, via_stream, &out,
+                   meta != nullptr ? &meta->info : nullptr);
+  if (out.empty()) out = dns::encode_message(tx);
   if (meta != nullptr) {
-    meta->answered = !query.questions.empty();
-    meta->rcode = resp.header.rcode;
+    meta->answered = !rx.questions.empty();
+    meta->rcode = tx.header.rcode;
   }
   return out;
 }
@@ -301,7 +305,8 @@ void Server::run_worker(Worker& w) {
       const std::span<const std::uint8_t> msg{c.in.data() + consumed + 2,
                                               frame};
       bool was_formerr = false;
-      auto reply = respond(responder_, msg, /*via_stream=*/true, was_formerr);
+      auto reply = respond(responder_, msg, /*via_stream=*/true, was_formerr,
+                           w.rx, w.tx);
       if (reply) {
         if (was_formerr) w.formerr.fetch_add(1, std::memory_order_relaxed);
         w.responses.fetch_add(1, std::memory_order_relaxed);
@@ -344,7 +349,7 @@ void Server::run_worker(Worker& w) {
               responder_,
               std::span<const std::uint8_t>{udp_buf.data(),
                                             static_cast<std::size_t>(got)},
-              /*via_stream=*/false, was_formerr, meta_ptr);
+              /*via_stream=*/false, was_formerr, w.rx, w.tx, meta_ptr);
           if (!reply) {
             w.dropped.fetch_add(1, std::memory_order_relaxed);
             continue;
@@ -362,7 +367,7 @@ void Server::run_worker(Worker& w) {
             }
             if (action == authns::RrlAction::Slip) {
               w.rrl_slipped.fetch_add(1, std::memory_order_relaxed);
-              *reply = dns::encode_message(authns::make_slip_reply(meta.query));
+              *reply = dns::encode_message(authns::make_slip_reply(w.rx));
             }
           }
           if (was_formerr) w.formerr.fetch_add(1, std::memory_order_relaxed);

@@ -64,9 +64,7 @@ void RecordCache::unlink(SlotId id) {
 }
 
 void CacheHit::append_records(std::vector<dns::ResourceRecord>& out) const {
-  for (const auto& rd : rrset->rdatas) {
-    out.push_back(dns::ResourceRecord{rrset->name, rrset->rrclass, ttl, rd});
-  }
+  rrset->append_records(out, rrset->name, ttl);
 }
 
 CacheHit RecordCache::get(const dns::Name& name, dns::RRType type,
@@ -101,11 +99,11 @@ const dns::RRset* RecordCache::peek(const dns::Name& name, dns::RRType type,
   return &e.rrset;
 }
 
-void RecordCache::put(const dns::RRset& rrset, net::SimTime now) {
+void RecordCache::put(dns::RRset rrset, net::SimTime now) {
   const dns::Ttl ttl =
       std::clamp(rrset.ttl, config_.min_ttl, config_.max_ttl);
   CacheEntry entry;
-  entry.rrset = rrset;
+  entry.rrset = std::move(rrset);
   entry.rrset.ttl = ttl;
   entry.expires_at = now + net::Duration::seconds(ttl);
   insert(std::move(entry), now);

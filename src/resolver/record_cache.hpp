@@ -39,9 +39,9 @@ struct RecordCacheConfig {
 /// A cached positive RRset or negative marker.
 struct CacheEntry {
   dns::RRset rrset;            // empty rdatas => negative entry
+  net::SimTime expires_at;
   bool negative = false;
   dns::Rcode negative_rcode = dns::Rcode::NoError;  // NXDOMAIN vs NODATA
-  net::SimTime expires_at;
 };
 
 /// A positive lookup's result, borrowed from the cache: the live cached
@@ -80,7 +80,8 @@ class RecordCache {
                                        net::SimTime now) const;
 
   /// Inserts/overwrites a positive RRset (TTL clamped to config bounds).
-  void put(const dns::RRset& rrset, net::SimTime now);
+  /// Pass an rvalue to hand the set's storage to the cache without a copy.
+  void put(dns::RRset rrset, net::SimTime now);
 
   /// Inserts a negative entry with the zone's negative TTL.
   void put_negative(const dns::Name& name, dns::RRType type, dns::Rcode rcode,
@@ -102,13 +103,15 @@ class RecordCache {
   static constexpr SlotId kNone = ~SlotId{0};
 
   struct Slot {
-    CacheEntry entry;
+    /// Lets the fields below share the entry's tail padding.
+    [[no_unique_address]] CacheEntry entry;
     std::uint32_t hash = 0;
     /// LRU neighbours, towards the front (more recent) and the back. A free
     /// slot links the free list through `next`.
     SlotId prev = kNone;
     SlotId next = kNone;
   };
+  static_assert(sizeof(Slot) == 104);
   struct Bucket {
     SlotId slot = kNone;  // kNone = empty
     std::uint32_t hash = 0;

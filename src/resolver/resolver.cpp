@@ -17,6 +17,11 @@ constexpr net::Port kUpstreamPort = 10'053;
 /// carries a fresh random subdomain.
 constexpr std::size_t kQnameCompactMin = 4096;
 
+/// Records per section the reused receive message keeps room for between
+/// upstream responses: a lone answer or SOA. A larger reply's storage
+/// (a referral's NS set and glue) is released once it has been handled.
+constexpr std::size_t kRetainedRecords = 1;
+
 }  // namespace
 
 struct RecursiveResolver::Job {
@@ -26,7 +31,7 @@ struct RecursiveResolver::Job {
   /// empty non-terminals, RFC 7816 §3).
   std::size_t min_labels = 0;
   std::vector<dns::ResourceRecord> chain;
-  std::vector<ResolveCallback> callbacks;
+  Waiters waiters;
   net::SimTime started_at;
   int upstream_count = 0;
   int indirections = 0;
@@ -142,14 +147,18 @@ void RecursiveResolver::untrack_outstanding(dns::NameRef ref) noexcept {
 }
 
 void RecursiveResolver::resolve(const dns::Question& q, ResolveCallback cb) {
+  accept(q, std::move(cb));
+}
+
+void RecursiveResolver::accept(const dns::Question& q, Waiter w) {
   obs_client_queries_->add(1, network_.sim().now());
-  std::vector<ResolveCallback> cbs;
-  cbs.push_back(std::move(cb));
+  Waiters waiters;
+  waiters.add(std::move(w));
   if (config_.max_inflight_resolutions <= 0) {
-    resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
+    resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/false);
     return;
   }
-  admit(q, std::move(cbs));
+  admit(q, std::move(waiters));
 }
 
 void RecursiveResolver::note_coalesced() {
@@ -160,8 +169,7 @@ void RecursiveResolver::note_coalesced() {
   obs_coalesced_->add(1, network_.sim().now());
 }
 
-void RecursiveResolver::admit(const dns::Question& q,
-                              std::vector<ResolveCallback> cbs) {
+void RecursiveResolver::admit(const dns::Question& q, Waiters waiters) {
   const net::SimTime now = network_.sim().now();
   // Duplicate of an in-flight chain: join its waiter list — one upstream
   // fetch tree answers everyone, and the join never consumes a slot.
@@ -169,7 +177,7 @@ void RecursiveResolver::admit(const dns::Question& q,
       it != inflight_.end()) {
     if (const auto job = it->second.lock(); job && !job->done) {
       note_coalesced();
-      resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
+      resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/false);
       return;
     }
   }
@@ -180,7 +188,7 @@ void RecursiveResolver::admit(const dns::Question& q,
   // expiry must take the admitted upstream path, never this bypass — a
   // disagreement would leak unadmitted upstream chains past the cap.
   if (cache_.peek(q.qname, q.qtype, now) != nullptr) {
-    resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/false);
+    resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/false);
     return;
   }
   if (client_inflight_ >=
@@ -189,7 +197,7 @@ void RecursiveResolver::admit(const dns::Question& q,
     if (const auto it = queued_.find(PendingView{q.qname, q.qtype});
         it != queued_.end()) {
       note_coalesced();
-      for (auto& cb : cbs) it->second->callbacks.push_back(std::move(cb));
+      it->second->waiters.add_all(std::move(waiters));
       return;
     }
     if (config_.max_queued_resolutions > 0 &&
@@ -201,10 +209,10 @@ void RecursiveResolver::admit(const dns::Question& q,
       }
       obs_admission_rejected_->add(1, now);
       const ResolveOutcome outcome;  // SERVFAIL, zero elapsed/upstream
-      for (auto& cb : cbs) cb(outcome);
+      waiters.for_each([&](Waiter& w) { notify(w, outcome); });
       return;
     }
-    admission_queue_.push_back(QueuedResolution{q, std::move(cbs)});
+    admission_queue_.push_back(QueuedResolution{q, std::move(waiters)});
     queued_.insert_or_assign(PendingKey{q.qname, q.qtype},
                              &admission_queue_.back());
     if (obs_admission_queued_ == nullptr) {
@@ -216,7 +224,7 @@ void RecursiveResolver::admit(const dns::Question& q,
   }
   ++client_inflight_;
   obs_inflight_->max_of(static_cast<double>(client_inflight_), now);
-  resolve_internal(q, std::move(cbs), nullptr, /*admitted=*/true);
+  resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/true);
 }
 
 void RecursiveResolver::drain_admission_queue() {
@@ -246,7 +254,7 @@ void RecursiveResolver::drain_admission_queue() {
       obs_inflight_->max_of(static_cast<double>(client_inflight_),
                             network_.sim().now());
     }
-    resolve_internal(next.question, std::move(next.callbacks), nullptr,
+    resolve_internal(next.question, std::move(next.waiters), nullptr,
                      /*admitted=*/!join);
   }
   draining_ = false;
@@ -263,7 +271,7 @@ void RecursiveResolver::arm_deadline(const std::shared_ptr<Job>& job) {
   const net::SimTime expiry =
       network_.sim().now() + config_.max_resolution_time;
   const std::int64_t key = expiry.count_micros();
-  auto [it, created] = deadline_batches_.try_emplace(key);
+  auto [it, created] = deadline_nodes_.try_emplace(deadline_batches_, key);
   DeadlineBatch& batch = it->second;
   if (created) {
     batch.event = network_.sim().at(
@@ -280,7 +288,7 @@ void RecursiveResolver::fire_deadline_batch(std::int64_t key) {
   const auto it = deadline_batches_.find(key);
   if (it == deadline_batches_.end()) return;
   DeadlineBatch batch = std::move(it->second);
-  deadline_batches_.erase(it);
+  deadline_nodes_.erase(deadline_batches_, it);
   for (const auto& j : batch.jobs) {
     if (!j || j->done) continue;
     obs_deadline_expired_->add(1, network_.sim().now());
@@ -292,33 +300,34 @@ void RecursiveResolver::fire_deadline_batch(std::int64_t key) {
 }
 
 void RecursiveResolver::resolve_internal(
-    const dns::Question& q, std::vector<ResolveCallback> cbs,
+    const dns::Question& q, Waiters waiters,
     std::shared_ptr<std::uint32_t> fetch_budget, bool admitted) {
   // Coalesce identical in-flight questions.
   if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
       it != inflight_.end()) {
     if (auto job = it->second.lock(); job && !job->done) {
-      for (auto& cb : cbs) job->callbacks.push_back(std::move(cb));
+      job->waiters.add_all(std::move(waiters));
       return;
     }
-    inflight_.erase(it);
+    inflight_nodes_.erase(inflight_, it);
   }
   auto job = std::make_shared<Job>();
   job->original = q;
   job->current_name = q.qname;
-  job->callbacks = std::move(cbs);
+  job->waiters = std::move(waiters);
   job->started_at = network_.sim().now();
   job->fetch_budget = std::move(fetch_budget);
   job->admitted = admitted;
-  inflight_.insert_or_assign(PendingKey{q.qname, q.qtype}, job);
+  inflight_nodes_.try_emplace(inflight_, PendingKey{q.qname, q.qtype})
+      .first->second = job;
   arm_deadline(job);
   step(job);
 }
 
 void RecursiveResolver::on_client_datagram(const net::Datagram& dgram) {
-  dns::Message query;
+  dns::Message& query = rx_;
   try {
-    query = dns::decode_message(dgram.payload);
+    dns::decode_message(dgram.payload, query);
   } catch (const dns::WireError&) {
     return;
   }
@@ -328,9 +337,10 @@ void RecursiveResolver::on_client_datagram(const net::Datagram& dgram) {
   // CHAOS-class identity queries are answered locally by the recursive —
   // the very reason the paper could not use them to identify which
   // *authoritative* answered (§3.1).
-  const dns::Question q = query.question();
+  const dns::Question& q = query.question();
   if (q.qclass == dns::RRClass::CH) {
-    dns::Message resp = dns::Message::make_response(query);
+    dns::Message& resp = tx_;
+    resp.reset_response(query);
     resp.header.ra = true;
     static const dns::Name kHostnameBind = dns::Name::parse("hostname.bind");
     static const dns::Name kIdServer = dns::Name::parse("id.server");
@@ -345,31 +355,35 @@ void RecursiveResolver::on_client_datagram(const net::Datagram& dgram) {
     return;
   }
 
-  const auto reply_to = dgram.src;
-  const auto id = query.header.id;
-  const bool rd = query.header.rd;
-  resolve(q, [this, reply_to, id, rd, q](const ResolveOutcome& outcome) {
-    dns::Message resp;
-    resp.header.id = id;
-    resp.header.qr = true;
-    resp.header.rd = rd;
-    resp.header.ra = true;
-    resp.header.rcode = outcome.rcode;
-    resp.questions.push_back(q);
-    resp.answers = outcome.answers;
-    network_.send(node_, client_ep_, reply_to, dns::encode_message(resp));
-  });
+  accept(q, ClientReply{q, dgram.src, query.header.id, query.header.rd});
+}
+
+void RecursiveResolver::notify(Waiter& w, const ResolveOutcome& outcome) {
+  if (auto* cb = std::get_if<ResolveCallback>(&w)) {
+    (*cb)(outcome);
+    return;
+  }
+  const ClientReply& c = std::get<ClientReply>(w);
+  dns::Message& resp = tx_;
+  resp.reset_query(c.id, c.question.qname, c.question.qtype,
+                   c.question.qclass);
+  resp.header.qr = true;
+  resp.header.rd = c.rd;
+  resp.header.ra = true;
+  resp.header.rcode = outcome.rcode;
+  resp.answers = outcome.answers;
+  network_.send(node_, client_ep_, c.client, dns::encode_message(resp));
 }
 
 void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
-                                      std::vector<net::IpAddress>& servers) {
+                                      net::AddressList& servers) {
   const net::SimTime now = network_.sim().now();
   // Deepest cached NS set with at least one resolvable address wins.
   for (std::size_t depth = qname.label_count(); depth > 0; --depth) {
     const dns::Name candidate = qname.suffix(depth);
     const CacheHit ns_set = cache_.get(candidate, dns::RRType::NS, now);
     if (!ns_set) continue;
-    std::vector<net::IpAddress> addrs;
+    servers.clear();
     for (const auto& rd : ns_set.rrset->rdatas) {
       const auto& ns_name = std::get<dns::NsRdata>(rd).nsdname;
       if (config_.family != AddressFamily::V4Only) {
@@ -378,7 +392,7 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
           for (const auto& ard : aaaa.rrset->rdatas) {
             if (auto addr = net::IpAddress::from_mapped_ipv6(
                     std::get<dns::AaaaRdata>(ard).address)) {
-              addrs.push_back(*addr);
+              servers.push_back(*addr);
             }
           }
         }
@@ -386,14 +400,13 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
       if (config_.family != AddressFamily::V6Only) {
         if (const CacheHit a = cache_.get(ns_name, dns::RRType::A, now)) {
           for (const auto& ard : a.rrset->rdatas) {
-            addrs.push_back(std::get<dns::ARdata>(ard).address);
+            servers.push_back(std::get<dns::ARdata>(ard).address);
           }
         }
       }
     }
-    if (!addrs.empty()) {
+    if (!servers.empty()) {
       zone = candidate;
-      servers = std::move(addrs);
       return;
     }
   }
@@ -455,7 +468,7 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
   }
 
   dns::Name zone;
-  std::vector<net::IpAddress> servers;
+  net::AddressList servers;
   find_zone_cut(job->current_name, zone, servers);
   if (servers.empty()) {
     finish(job, dns::Rcode::ServFail);
@@ -467,7 +480,7 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
   }
   // Avoid servers that already failed this round, when alternatives exist.
   // Forwarder-style policies instead retry the same server.
-  std::vector<net::IpAddress> candidates;
+  net::AddressList candidates;
   if (selector_->prefers_retry_same()) {
     candidates = servers;
   } else {
@@ -497,8 +510,7 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
   net::IpAddress probe_target{};
   bool probe_due = false;
   {
-    std::vector<net::IpAddress> healthy;
-    healthy.reserve(candidates.size());
+    net::AddressList healthy;
     for (const auto& s : candidates) {
       const ServerStats* st = infra_.get(s, now);
       if (st == nullptr || !st->in_holddown(now)) {
@@ -573,10 +585,6 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
     }
   }
 
-  dns::Message query = dns::Message::make_query(txid, query_name,
-                                                query_type);
-  if (config_.use_edns) query.edns = dns::EdnsInfo{};
-
   ++job->upstream_count;
   ++upstream_sent_;
   obs_upstream_sent_->add(1, now);
@@ -608,9 +616,12 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
   out.timeout_event = network_.sim().after(
       timeout, [this, txkey] { on_upstream_timeout(txkey); });
   track_outstanding(out.qname_ref, txkey);
-  outstanding_.emplace(txkey, std::move(out));
+  outstanding_nodes_.try_emplace(outstanding_, txkey).first->second =
+      std::move(out);
 
-  auto wire = dns::encode_message(query);
+  tx_.reset_query(txid, query_name, query_type);
+  if (config_.use_edns) tx_.edns = dns::EdnsInfo{};
+  auto wire = dns::encode_message(tx_);
   if (via_tcp) {
     network_.send_stream(node_, upstream_ep_, dst, std::move(wire));
   } else {
@@ -646,7 +657,7 @@ void RecursiveResolver::on_upstream_timeout(std::uint64_t txkey) {
   const auto it = outstanding_.find(txkey);
   if (it == outstanding_.end()) return;
   Outstanding out = std::move(it->second);
-  outstanding_.erase(it);
+  outstanding_nodes_.erase(outstanding_, it);
   untrack_outstanding(out.qname_ref);
   release_zone_slot(out.zone);
   ++upstream_timeouts_;
@@ -665,12 +676,20 @@ void RecursiveResolver::on_upstream_timeout(std::uint64_t txkey) {
 }
 
 void RecursiveResolver::on_upstream_datagram(const net::Datagram& dgram) {
-  dns::Message resp;
   try {
-    resp = dns::decode_message(dgram.payload);
+    dns::decode_message(dgram.payload, rx_);
   } catch (const dns::WireError&) {
     return;
   }
+  on_upstream_response(dgram, rx_);
+  // A referral carries an NS set and its glue. Keep room for a typical
+  // reply only: otherwise each resolver of a population would hold the
+  // largest reply it ever saw.
+  rx_.trim(kRetainedRecords);
+}
+
+void RecursiveResolver::on_upstream_response(const net::Datagram& dgram,
+                                             const dns::Message& resp) {
   if (!resp.header.qr || resp.questions.empty()) return;
 
   // Match an outstanding query: id + server endpoint + question. The
@@ -699,7 +718,7 @@ void RecursiveResolver::on_upstream_datagram(const net::Datagram& dgram) {
   if (match == outstanding_.end()) return;  // late or spoofed: ignore
 
   Outstanding out = std::move(match->second);
-  outstanding_.erase(match);
+  outstanding_nodes_.erase(outstanding_, match);
   untrack_outstanding(out.qname_ref);
   release_zone_slot(out.zone);
   network_.sim().cancel(out.timeout_event);
@@ -737,21 +756,21 @@ void RecursiveResolver::cache_message_records(const dns::Message& resp,
   auto in_bailiwick = [&](const dns::Name& owner) {
     return owner.is_subdomain_of(server_zone);
   };
-  for (const auto& set : dns::group_rrsets(resp.answers)) {
-    if (in_bailiwick(set.name)) cache_.put(set, now);
-  }
-  for (const auto& set : dns::group_rrsets(resp.authorities)) {
+  dns::for_each_rrset(resp.answers, [&](dns::RRset&& set) {
+    if (in_bailiwick(set.name)) cache_.put(std::move(set), now);
+  });
+  dns::for_each_rrset(resp.authorities, [&](dns::RRset&& set) {
     if ((set.type == dns::RRType::NS || set.type == dns::RRType::SOA) &&
         in_bailiwick(set.name)) {
-      cache_.put(set, now);
+      cache_.put(std::move(set), now);
     }
-  }
-  for (const auto& set : dns::group_rrsets(resp.additionals)) {
+  });
+  dns::for_each_rrset(resp.additionals, [&](dns::RRset&& set) {
     if ((set.type == dns::RRType::A || set.type == dns::RRType::AAAA) &&
         in_bailiwick(set.name)) {
-      cache_.put(set, now);
+      cache_.put(std::move(set), now);
     }
-  }
+  });
 }
 
 void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
@@ -981,16 +1000,16 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
                       target.to_string(), child_zone.to_string(), 0.0});
     }
     std::weak_ptr<Job> weak = job;
-    std::vector<ResolveCallback> fetch_cbs;
-    fetch_cbs.push_back([this, weak](const ResolveOutcome&) {
+    Waiters waiters;
+    waiters.add(ResolveCallback{[this, weak](const ResolveOutcome&) {
       const auto j = weak.lock();
       if (!j || j->done) return;
       if (--j->pending_fetches == 0) step(j);
-    });
+    }});
     // Internal fetches bypass admission (admitted=false): gating them
     // behind the client resolutions that spawned them would deadlock.
     resolve_internal(dns::Question{target, addr_type, dns::RRClass::IN},
-                     std::move(fetch_cbs), job->fetch_budget,
+                     std::move(waiters), job->fetch_budget,
                      /*admitted=*/false);
   }
   return true;
@@ -1015,7 +1034,13 @@ void RecursiveResolver::finish(const std::shared_ptr<Job>& job,
         it != deadline_batches_.end()) {
       if (--it->second.live <= 0) {
         network_.sim().cancel(it->second.event);
-        deadline_batches_.erase(it);
+        // The parked node keeps the member list's capacity for the next
+        // batch.
+        deadline_nodes_.erase(deadline_batches_, it, [](DeadlineBatch& b) {
+          b.event = 0;
+          b.jobs.clear();
+          b.live = 0;
+        });
       } else if (job->deadline_slot < it->second.jobs.size()) {
         // Release the anchor so the finished job does not outlive its
         // resolution just because batch-mates are still running.
@@ -1041,16 +1066,16 @@ void RecursiveResolver::finish(const std::shared_ptr<Job>& job,
   obs_resolve_hist_->observe((now - job->started_at).ms(), now);
   ResolveOutcome outcome;
   outcome.rcode = rcode;
-  outcome.answers = job->chain;
+  outcome.answers = std::move(job->chain);  // a finished job needs no chain
   outcome.elapsed = network_.sim().now() - job->started_at;
   outcome.upstream_queries = job->upstream_count;
   if (const auto it = inflight_.find(
           PendingView{job->original.qname, job->original.qtype});
       it != inflight_.end()) {
-    inflight_.erase(it);
+    inflight_nodes_.erase(inflight_, it);
   }
-  for (auto& cb : job->callbacks) cb(outcome);
-  job->callbacks.clear();
+  job->waiters.for_each([&](Waiter& w) { notify(w, outcome); });
+  job->waiters = Waiters{};
   drain_admission_queue();
 }
 

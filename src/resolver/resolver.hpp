@@ -17,15 +17,18 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "dnscore/codec.hpp"
 #include "dnscore/message.hpp"
 #include "dnscore/name_table.hpp"
+#include "net/address_list.hpp"
 #include "net/network.hpp"
 #include "resolver/infra_cache.hpp"
 #include "resolver/record_cache.hpp"
 #include "resolver/selection.hpp"
+#include "stats/node_pool.hpp"
 
 namespace recwild::resolver {
 
@@ -185,21 +188,62 @@ class RecursiveResolver {
  private:
   struct Job;
 
+  /// A network client waiting for its reply, which is built in tx_ — a
+  /// client needs no callback object, so it holds no capture on the heap.
+  /// `question` is the client's own (its qname's case is echoed).
+  struct ClientReply {
+    dns::Question question;
+    net::Endpoint client{};
+    std::uint16_t id = 0;
+    bool rd = false;
+  };
+  /// Who hears how a resolution ended: a resolve() caller or an NS-address
+  /// fetch through its callback, or a network client.
+  using Waiter = std::variant<std::monostate, ResolveCallback, ClientReply>;
+  /// A resolution's waiters in arrival order: the first inline, later
+  /// joins (coalesced duplicates) in a vector.
+  class Waiters {
+   public:
+    void add(Waiter w) {
+      if (std::holds_alternative<std::monostate>(first_)) {
+        first_ = std::move(w);
+      } else {
+        more_.push_back(std::move(w));
+      }
+    }
+    void add_all(Waiters&& o) {
+      o.for_each([this](Waiter& w) { add(std::move(w)); });
+    }
+    template <class F>
+    void for_each(F&& f) {
+      if (std::holds_alternative<std::monostate>(first_)) return;
+      f(first_);
+      for (auto& w : more_) f(w);
+    }
+
+   private:
+    Waiter first_;
+    std::vector<Waiter> more_;
+  };
+
+  /// Counts a client query and hands it to the front door.
+  void accept(const dns::Question& q, Waiter w);
   /// resolve() plus a shared NS-fetch budget carried into the new job, so
   /// glueless chains nested under an NXNS-style referral spend their
   /// parent's max_fetches_per_resolution allowance, not a fresh one.
   /// Takes the job's whole waiter list up front: an admission-queue entry
-  /// drains with every coalesced callback it accumulated, and a chain that
+  /// drains with every coalesced waiter it accumulated, and a chain that
   /// completes synchronously (cache hit) must answer all of them.
   /// `admitted` marks a resolution holding an admission slot — finish()
   /// releases it and drains the queue.
-  void resolve_internal(const dns::Question& q,
-                        std::vector<ResolveCallback> cbs,
+  void resolve_internal(const dns::Question& q, Waiters waiters,
                         std::shared_ptr<std::uint32_t> fetch_budget,
                         bool admitted);
   /// The pipelined front door: join / cache-bypass / start / queue /
   /// reject, in that order (see ResolverConfig::max_inflight_resolutions).
-  void admit(const dns::Question& q, std::vector<ResolveCallback> cbs);
+  void admit(const dns::Question& q, Waiters waiters);
+  /// Tells one waiter how its resolution ended.
+  void notify(Waiter& w, const ResolveOutcome& outcome);
   /// Starts queued resolutions while slots are free (called from finish;
   /// reentrancy-guarded, so synchronous completions don't recurse).
   void drain_admission_queue();
@@ -214,13 +258,17 @@ class RecursiveResolver {
 
   void on_client_datagram(const net::Datagram& dgram);
   void on_upstream_datagram(const net::Datagram& dgram);
+  /// Matches a decoded upstream response to its transmission and acts on
+  /// it.
+  void on_upstream_response(const net::Datagram& dgram,
+                            const dns::Message& resp);
 
   /// Advances a job: cache checks, zone-cut discovery, upstream send.
   void step(const std::shared_ptr<Job>& job);
   /// Finds the deepest zone cut with cached/known server addresses for
   /// `qname`. Fills `zone` and `servers`; falls back to root hints.
   void find_zone_cut(const dns::Name& qname, dns::Name& zone,
-                     std::vector<net::IpAddress>& servers);
+                     net::AddressList& servers);
   struct Outstanding;
   void send_upstream(const std::shared_ptr<Job>& job, const dns::Name& zone,
                      net::IpAddress server, bool via_tcp = false);
@@ -295,7 +343,9 @@ class RecursiveResolver {
     /// zone_outstanding_) only while fetches_per_zone > 0.
     dns::Name zone;
   };
-  std::unordered_map<std::uint64_t, Outstanding> outstanding_;  // by txkey
+  using OutstandingMap = std::unordered_map<std::uint64_t, Outstanding>;
+  OutstandingMap outstanding_;  // by txkey
+  stats::NodePool<OutstandingMap> outstanding_nodes_;
   std::uint64_t next_txkey_ = 1;
   /// Outstanding transmissions per target zone, maintained only while
   /// fetches_per_zone > 0 so default-config worlds pay nothing.
@@ -355,9 +405,10 @@ class RecursiveResolver {
       return b.type == a.type && b.name == a.name;
     }
   };
-  std::unordered_map<PendingKey, std::weak_ptr<Job>, PendingKeyHash,
-                     PendingKeyEq>
-      inflight_;
+  using InflightMap = std::unordered_map<PendingKey, std::weak_ptr<Job>,
+                                         PendingKeyHash, PendingKeyEq>;
+  InflightMap inflight_;
+  stats::NodePool<InflightMap> inflight_nodes_;
 
   // Pipelined front door (max_inflight_resolutions > 0). The queue is a
   // deque so queued_ can hold stable pointers into it: push_back/pop_front
@@ -365,7 +416,7 @@ class RecursiveResolver {
   // question onto its callback list instead of queueing it twice.
   struct QueuedResolution {
     dns::Question question;
-    std::vector<ResolveCallback> callbacks;
+    Waiters waiters;
   };
   std::deque<QueuedResolution> admission_queue_;
   std::unordered_map<PendingKey, QueuedResolution*, PendingKeyHash,
@@ -388,7 +439,16 @@ class RecursiveResolver {
     std::vector<std::shared_ptr<Job>> jobs;
     int live = 0;
   };
-  std::unordered_map<std::int64_t, DeadlineBatch> deadline_batches_;
+  using DeadlineMap = std::unordered_map<std::int64_t, DeadlineBatch>;
+  DeadlineMap deadline_batches_;
+  stats::NodePool<DeadlineMap> deadline_nodes_;
+
+  /// This node's receive and transmit messages: every datagram decodes
+  /// into rx_ and every query or reply it sends is built in tx_, reusing
+  /// their capacity. A decoded message is valid only until the handler
+  /// that decoded it returns; nothing scheduled may capture either.
+  dns::Message rx_;
+  dns::Message tx_;
 
   std::uint64_t client_queries_ = 0;
   std::uint64_t upstream_sent_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "net/address_list.hpp"
 #include "obs/names.hpp"
 
 namespace recwild::resolver {
@@ -59,17 +60,16 @@ namespace {
 
 /// Servers neither on probation nor held down; falls back to all when
 /// everything is excluded (a resolver must send *somewhere*).
-std::vector<net::IpAddress> usable(std::span<const net::IpAddress> servers,
-                                   const InfraCache& infra,
-                                   net::SimTime now) {
-  std::vector<net::IpAddress> out;
+net::AddressList usable(std::span<const net::IpAddress> servers,
+                        const InfraCache& infra, net::SimTime now) {
+  net::AddressList out;
   for (const auto& s : servers) {
     const ServerStats* st = infra.get(s, now);
     if (st == nullptr || (!st->in_backoff(now) && !st->in_holddown(now))) {
       out.push_back(s);
     }
   }
-  if (out.empty()) out.assign(servers.begin(), servers.end());
+  if (out.empty()) out.assign(servers);
   return out;
 }
 
@@ -129,17 +129,16 @@ class UnboundBandSelector final : public ServerSelector {
     (void)zone;
     const auto candidates = usable(servers, infra, now);
     // Effective RTT: measured RTO or the unknown-host default.
+    const auto rtt = [&](net::IpAddress s) {
+      const ServerStats* st = infra.get(s, now);
+      return st ? st->rto_ms() : cfg_.unbound_unknown_rtt_ms;
+    };
     double best = std::numeric_limits<double>::infinity();
-    std::vector<double> rtt(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const ServerStats* st = infra.get(candidates[i], now);
-      rtt[i] = st ? st->rto_ms() : cfg_.unbound_unknown_rtt_ms;
-      best = std::min(best, rtt[i]);
-    }
+    for (const auto& s : candidates) best = std::min(best, rtt(s));
     // Uniform choice among the lowest band.
-    std::vector<net::IpAddress> band;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (rtt[i] <= best + cfg_.unbound_band_ms) band.push_back(candidates[i]);
+    net::AddressList band;
+    for (const auto& s : candidates) {
+      if (rtt(s) <= best + cfg_.unbound_band_ms) band.push_back(s);
     }
     return band[rng.index(band.size())];
   }
@@ -165,19 +164,18 @@ class PowerDnsSelector final : public ServerSelector {
     // Weight ∝ 1/(srtt + c)^2: mostly the fastest, with continuous
     // exploration of the others. Unknown servers count as fast so they
     // get probed.
-    std::vector<double> weight(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const ServerStats* st = infra.get(candidates[i], now);
+    const auto weight = [&](net::IpAddress s) {
+      const ServerStats* st = infra.get(s, now);
       const double srtt = st ? st->srtt_ms : 0.0;
       const double denom = srtt + cfg_.pdns_offset_ms;
-      weight[i] = 1.0 / (denom * denom);
-    }
+      return 1.0 / (denom * denom);
+    };
     double total = 0;
-    for (const double w : weight) total += w;
+    for (const auto& s : candidates) total += weight(s);
     double u = rng.uniform() * total;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      u -= weight[i];
-      if (u <= 0) return candidates[i];
+    for (const auto& s : candidates) {
+      u -= weight(s);
+      if (u <= 0) return s;
     }
     return candidates.back();
   }

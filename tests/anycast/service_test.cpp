@@ -90,7 +90,7 @@ TEST(AnycastService, SitesAnswerWithSharedAddress) {
   f.sim.run();
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(std::get<dns::TxtRdata>(answers[0].answers.at(0).rdata)
-                .strings[0],
+                .strings()[0],
             "anycast");
   // Only the European site logged the query.
   EXPECT_EQ(svc.sites()[0].server->log().total(), 1u);

@@ -146,5 +146,62 @@ TEST(Stub, ConcurrentQueriesKeptApart) {
             names.end());
 }
 
+// A reply counts only when it comes from a configured recursive's port 53.
+// An off-path host that learned the txid and qname (here: it is told them)
+// races the real answer with forged ones — from its own address, and from
+// the recursive's address but another port. The stub ignores both and
+// still delivers the real answer.
+TEST(Stub, IgnoresForgedRepliesFromOffPath) {
+  net::Simulation sim{5};
+  net::LatencyParams params;
+  params.loss_rate = 0.0;
+  net::Network net{sim, params};
+  const auto loc = [](const char* c) { return net::find_location(c)->point; };
+  const net::IpAddress rec_addr = net.allocate_address();
+  const net::IpAddress evil_addr = net.allocate_address();
+  const net::NodeId rec_node = net.add_node("rec", loc("AMS"));
+  const net::NodeId evil_node = net.add_node("evil", loc("AMS"));
+
+  const auto reply = [](const dns::Message& query, const char* payload) {
+    dns::Message resp = dns::Message::make_response(query);
+    resp.header.ra = true;
+    resp.answers.push_back({query.question().qname, dns::RRClass::IN, 5,
+                            dns::TxtRdata{{payload}}});
+    return dns::encode_message(resp);
+  };
+  int queries_seen = 0;
+  net.listen(rec_node, net::Endpoint{rec_addr, net::kDnsPort},
+             [&](const net::Datagram& d, net::NodeId) {
+               ++queries_seen;
+               const dns::Message query = dns::decode_message(d.payload);
+               // The forgeries leave at once and arrive first.
+               net.send(evil_node, net::Endpoint{evil_addr, net::kDnsPort},
+                        d.src, reply(query, "forged"));
+               net.send(evil_node, net::Endpoint{rec_addr, 5353}, d.src,
+                        reply(query, "forged-port"));
+               const net::Endpoint to = d.src;
+               sim.after(net::Duration::millis(50),
+                         [&net, rec_node, rec_addr, to, query, reply] {
+                           net.send(rec_node,
+                                    net::Endpoint{rec_addr, net::kDnsPort},
+                                    to, reply(query, "real"));
+                         });
+             });
+
+  StubResolver stub{net,     net.add_node("probe", loc("AMS")),
+                    net.allocate_address(), {rec_addr},
+                    StubConfig{}, stats::Rng{7}};
+  stub.start();
+  std::vector<StubResult> results;
+  stub.query(dns::Name::parse("probe.test"), dns::RRType::TXT,
+             [&](const StubResult& r) { results.push_back(r); });
+  sim.run();
+  EXPECT_EQ(queries_seen, 1);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].timed_out);
+  ASSERT_EQ(results[0].txt.size(), 1u);
+  EXPECT_EQ(results[0].txt[0], "real");
+}
+
 }  // namespace
 }  // namespace recwild::client

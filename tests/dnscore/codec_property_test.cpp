@@ -11,6 +11,8 @@
 // (never crash, never read out of bounds — the ASan/UBSan CI jobs run this
 // file too).
 #include <cstdint>
+#include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -77,7 +79,7 @@ class Gen : public NameGen {
           for (std::size_t j = 0; j < len; ++j) {
             s.push_back(static_cast<char>(u8()));
           }
-          v.strings.push_back(std::move(s));
+          v.append(s);
         }
         return v;
       }
@@ -185,6 +187,66 @@ TEST(CodecProperty, DecodedMessagePreservesStructure) {
   }
 }
 
+/// Decodes `wire` into a fresh Message, or nullopt when it is malformed.
+std::optional<Message> fresh_decode(const Bytes& wire) {
+  try {
+    return decode_message(wire);
+  } catch (const WireError&) {
+    return std::nullopt;
+  }
+}
+
+Bytes golden(const char* name) {
+  std::ifstream in{std::string{RECWILD_GOLDEN_DIR} + "/" + name,
+                   std::ios::binary};
+  EXPECT_TRUE(in.is_open()) << name;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// A node decodes every datagram into the same Message. Whatever that
+// Message held before (more records, EDNS options, a decode that threw
+// halfway), the result must equal a fresh decode, down to the bytes it
+// re-encodes to (which also pins the case of every name).
+TEST(CodecReuse, ReusedTargetMatchesFreshDecode) {
+  std::vector<Bytes> stream;
+  for (const char* name : {"ns_referral_compressed.bin", "notify.bin",
+                           "truncated_udp_answer.bin", "pointer_loop.bin"}) {
+    stream.push_back(golden(name));
+  }
+  Gen gen{2026};
+  for (int i = 0; i < 300; ++i) {
+    const Bytes wire = to_bytes(encode_message(gen.message()));
+    stream.push_back(wire);
+    if (i % 25 == 0) {
+      // Cut inside the records: the decoder throws after it has already
+      // appended some of them. A valid message follows next round.
+      stream.push_back(Bytes(wire.begin(), wire.begin() + wire.size() / 2));
+      stream.push_back(Bytes(wire.begin(), wire.end() - 1));
+    }
+  }
+  Message big;
+  for (int i = 0; i < 40; ++i) big.answers.push_back(gen.record());
+  stream.insert(stream.begin(), to_bytes(encode_message(big)));
+
+  Message reused;
+  int threw = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::optional<Message> fresh = fresh_decode(stream[i]);
+    if (!fresh) {
+      EXPECT_THROW(decode_message(stream[i], reused), WireError) << i;
+      ++threw;
+      continue;
+    }
+    ASSERT_NO_THROW(decode_message(stream[i], reused)) << i;
+    EXPECT_EQ(reused, *fresh) << "stream message " << i;
+    EXPECT_EQ(to_bytes(encode_message(reused)),
+              to_bytes(encode_message(*fresh)))
+        << "stream message " << i;
+  }
+  EXPECT_GE(threw, 13);  // the truncated copies and the pointer loop
+}
+
 // Compression pointers must work at every offset class: targets below 255,
 // above 255, and suffixes first written beyond the 0x3fff pointer range
 // (which the writer must then never point at).
@@ -202,7 +264,7 @@ TEST(CodecProperty, LargeMessagesCrossThePointerRangeBoundary) {
     rr.name = Name::parse("host" + std::to_string(i % 7) + ".example.nl");
     rr.ttl = 60;
     TxtRdata txt;
-    txt.strings.push_back(std::string(200 + gen.below(55), 'x'));
+    txt.append(std::string(200 + gen.below(55), 'x'));
     rr.rdata = txt;
     m.answers.push_back(rr);
     if (i % 9 == 0) {

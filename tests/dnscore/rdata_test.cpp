@@ -1,5 +1,8 @@
 #include "dnscore/rdata.hpp"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace recwild::dns {
@@ -82,6 +85,82 @@ TEST(Rdata, TxtSingleString) {
 TEST(Rdata, TxtMultipleStrings) {
   const TxtRdata txt{{"first", "second", ""}};
   EXPECT_EQ(round_trip(Rdata{txt}), Rdata{txt});
+}
+
+// Flat TXT RDATA must not grow the variant past SoaRdata's size.
+static_assert(sizeof(Rdata) <= 128);
+
+TEST(TxtRdata, StringsKeepOrderAndBytes) {
+  const TxtRdata txt{{"first", "second", "", "third"}};
+  EXPECT_EQ(txt.strings(),
+            (std::vector<std::string>{"first", "second", "", "third"}));
+  std::vector<std::string_view> seen(txt.begin(), txt.end());
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[1], "second");
+  EXPECT_TRUE(seen[2].empty());
+  // Wire form: each string as a length octet and its bytes.
+  EXPECT_EQ(txt.wire().size(), 6u + 7u + 1u + 6u);
+  EXPECT_EQ(txt.wire()[0], 5u);
+}
+
+TEST(TxtRdata, EmptyAndMaximalStringsRoundTrip) {
+  const std::string max(255, 'm');
+  const TxtRdata txt{{"", max}};
+  EXPECT_EQ(txt.strings(), (std::vector<std::string>{"", max}));
+  EXPECT_EQ(round_trip(Rdata{txt}), Rdata{txt});
+  TxtRdata too_long;
+  EXPECT_THROW(too_long.append(std::string(256, 'x')), std::invalid_argument);
+  EXPECT_EQ(too_long.strings().size(), 0u);
+}
+
+TEST(TxtRdata, NoStringsIsEmptyRdata) {
+  const TxtRdata none;
+  EXPECT_EQ(none.strings().size(), 0u);
+  EXPECT_TRUE(none.wire().empty());
+  EXPECT_EQ(rdata_to_string(none), "");
+  EXPECT_EQ(round_trip(Rdata{none}), Rdata{none});
+}
+
+TEST(TxtRdata, PastInlineCapacitySpillsOnce) {
+  const std::string a(100, 'a');
+  const std::string b(40, 'b');
+  const std::uint64_t s0 = TxtRdata::heap_spills();
+  TxtRdata small{{a}};
+  EXPECT_FALSE(small.spilled());
+  EXPECT_EQ(TxtRdata::heap_spills(), s0);
+  TxtRdata big = small;
+  big.append(b);  // 101 + 41 octets > kInlineCapacity
+  EXPECT_TRUE(big.spilled());
+  EXPECT_GT(big.wire().size(), TxtRdata::kInlineCapacity);
+  EXPECT_EQ(big.strings(), (std::vector<std::string>{a, b}));
+  EXPECT_EQ(round_trip(Rdata{big}), Rdata{big});
+  const std::uint64_t s1 = TxtRdata::heap_spills();
+  TxtRdata copy = big;  // a copy allocates its own block
+  EXPECT_EQ(TxtRdata::heap_spills(), s1 + 1);
+  TxtRdata moved = std::move(copy);  // a move takes it over
+  EXPECT_EQ(TxtRdata::heap_spills(), s1 + 1);
+  EXPECT_EQ(moved, big);
+  EXPECT_EQ(copy.strings().size(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(TxtRdata, EqualityComparesBytesCaseSensitively) {
+  EXPECT_EQ((TxtRdata{{"FRA"}}), (TxtRdata{{"FRA"}}));
+  EXPECT_NE((TxtRdata{{"FRA"}}), (TxtRdata{{"fra"}}));
+  EXPECT_NE((TxtRdata{{"ab"}}), (TxtRdata{{"a", "b"}}));
+  EXPECT_NE((TxtRdata{{"a"}}), (TxtRdata{{"a", ""}}));
+  const TxtRdata long_a{{std::string(200, 'x')}};
+  TxtRdata long_b{{std::string(199, 'x')}};
+  EXPECT_NE(long_a, long_b);
+  long_b = long_a;
+  EXPECT_EQ(long_a, long_b);
+}
+
+TEST(TxtRdata, MalformedWireThrows) {
+  // A length octet that runs past the RDATA: 5 announced, 3 present.
+  const std::vector<std::uint8_t> wire{5, 'a', 'b', 'c'};
+  EXPECT_THROW(TxtRdata::from_wire(wire), WireError);
+  WireReader r{wire};
+  EXPECT_THROW(decode_rdata(r, RRType::TXT, wire.size()), WireError);
 }
 
 TEST(Rdata, SrvRoundTrip) {

@@ -105,9 +105,28 @@ TEST(ZoneFile, QuotedTxtStrings) {
   const auto records = parse_zone_text(
       "info IN TXT \"hello world\" \"second; not a comment\"\n", opts());
   const auto& txt = std::get<TxtRdata>(records[0].rdata);
-  ASSERT_EQ(txt.strings.size(), 2u);
-  EXPECT_EQ(txt.strings[0], "hello world");
-  EXPECT_EQ(txt.strings[1], "second; not a comment");
+  ASSERT_EQ(txt.strings().size(), 2u);
+  EXPECT_EQ(txt.strings()[0], "hello world");
+  EXPECT_EQ(txt.strings()[1], "second; not a comment");
+}
+
+TEST(ZoneFile, TxtRoundTripsThroughZoneText) {
+  // Several strings, an empty one, a maximal one, and RDATA past
+  // TxtRdata's inline capacity.
+  const std::vector<ResourceRecord> records{
+      {Name::parse("a.example.nl"), RRClass::IN, 300,
+       TxtRdata{{"hello world", "", "x"}}},
+      {Name::parse("b.example.nl"), RRClass::IN, 300,
+       TxtRdata{{std::string(255, 'z'), "tail"}}},
+  };
+  ASSERT_TRUE(std::get<TxtRdata>(records[1].rdata).spilled());
+  const auto parsed = parse_zone_text(to_zone_text(records), opts());
+  EXPECT_EQ(parsed, records);
+}
+
+TEST(ZoneFile, TxtStringOver255OctetsRejected) {
+  const std::string text = "t IN TXT \"" + std::string(256, 'x') + "\"\n";
+  EXPECT_THROW(parse_zone_text(text, opts()), ZoneParseError);
 }
 
 TEST(ZoneFile, MxPreferenceParsed) {

@@ -6,9 +6,10 @@
 // test prints its figure and fails when it rises more than 10% above the
 // budget below, which is the figure measured when the budget was set.
 //
-// The same runs must spill no domain name to the heap (every name they
-// build fits Name's inline buffer) and must schedule no event whose
-// capture outgrew EventFn's inline buffer.
+// The same runs must spill no domain name, TXT RDATA or server address
+// list to the heap (every one they build fits its type's inline buffer)
+// and must schedule no event whose capture outgrew EventFn's inline
+// buffer.
 //
 // Sanitizer builds count the same allocations: the sanitizers intercept
 // malloc, which this operator new calls, so the test runs there too.
@@ -20,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "dnscore/name.hpp"
+#include "dnscore/rdata.hpp"
 #include "experiment/campaign.hpp"
 #include "experiment/scan.hpp"
+#include "net/address_list.hpp"
 #include "net/event_fn.hpp"
 #include "net/wire_buffer.hpp"
 #include "obs/names.hpp"
@@ -71,13 +74,15 @@ namespace {
 
 // Allocations per completed query when the budget was set (GCC 12,
 // Release). A rise of more than 10% fails the test.
-constexpr double kCampaignBudget = 66.72;
-constexpr double kScanBudget = 58.71;
+constexpr double kCampaignBudget = 16.73;
+constexpr double kScanBudget = 13.06;
 constexpr double kSlack = 1.10;
 
 struct Measured {
   std::uint64_t allocs = 0;
   std::uint64_t name_spills = 0;
+  std::uint64_t txt_spills = 0;
+  std::uint64_t address_list_spills = 0;
   std::uint64_t event_heap_fallbacks = 0;
 };
 
@@ -98,10 +103,14 @@ Measured measure(F&& call) {
   }
   const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
   const std::uint64_t s0 = dns::Name::heap_spills();
+  const std::uint64_t t0 = dns::TxtRdata::heap_spills();
+  const std::uint64_t l0 = net::AddressList::heap_spills();
   const std::uint64_t e0 = net::EventFn::heap_fallbacks();
   call();
   return {g_allocs.load(std::memory_order_relaxed) - a0,
           dns::Name::heap_spills() - s0,
+          dns::TxtRdata::heap_spills() - t0,
+          net::AddressList::heap_spills() - l0,
           net::EventFn::heap_fallbacks() - e0};
 }
 
@@ -115,6 +124,10 @@ void check_budget(const char* workload, const Measured& m,
               static_cast<unsigned long long>(completed), budget);
   EXPECT_LE(per_query, budget * kSlack) << workload;
   EXPECT_EQ(m.name_spills, 0u) << workload << ": a name spilled to the heap";
+  EXPECT_EQ(m.txt_spills, 0u)
+      << workload << ": a TXT RDATA spilled to the heap";
+  EXPECT_EQ(m.address_list_spills, 0u)
+      << workload << ": a server address list spilled to the heap";
   EXPECT_EQ(m.event_heap_fallbacks, 0u)
       << workload << ": an event capture outgrew EventFn's inline buffer";
 }

@@ -64,7 +64,7 @@ TEST(BuildZone, WildcardTxtAnswersAnyLabel) {
   EXPECT_EQ(result.disposition, authns::Disposition::Wildcard);
   ASSERT_EQ(result.answers.size(), 1u);
   EXPECT_EQ(result.answers[0].ttl, 5u);  // the paper's cache-defeating TTL
-  EXPECT_EQ(std::get<dns::TxtRdata>(result.answers[0].rdata).strings[0],
+  EXPECT_EQ(std::get<dns::TxtRdata>(result.answers[0].rdata).strings()[0],
             "FRA");
 }
 

@@ -178,7 +178,7 @@ TEST(Security, MismatchedResponsesIgnored) {
                 for (const auto& rr : out.answers) {
                   if (rr.type() == dns::RRType::TXT) {
                     answer = std::get<dns::TxtRdata>(rr.rdata)
-                                 .strings.at(0);
+                                 .strings().at(0);
                   }
                 }
               });
@@ -205,7 +205,7 @@ TEST(Security, MismatchedResponsesIgnored) {
       res.cache().get(dns::Name::parse("target.test"), dns::RRType::TXT,
                       sim.now());
   ASSERT_TRUE(cached);
-  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->rdatas[0]).strings[0],
+  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->rdatas[0]).strings()[0],
             "legit");
 }
 
@@ -325,7 +325,7 @@ TEST(Security, ResponseFromWrongSourcePortIgnored) {
                 for (const auto& rr : out.answers) {
                   if (rr.type() == dns::RRType::TXT) {
                     answer =
-                        std::get<dns::TxtRdata>(rr.rdata).strings.at(0);
+                        std::get<dns::TxtRdata>(rr.rdata).strings().at(0);
                   }
                 }
               });
