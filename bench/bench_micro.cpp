@@ -90,7 +90,7 @@ void BM_RecordCachePutGet(benchmark::State& state) {
   set.name = dns::Name::parse("x.nl");
   set.type = dns::RRType::A;
   set.ttl = 300;
-  set.rdatas = {dns::ARdata{net::IpAddress{1}}};
+  set.add(dns::ARdata{net::IpAddress{1}});
   const net::SimTime now;
   for (auto _ : state) {
     cache.put(set, now);

@@ -12,8 +12,8 @@ void QueryEngine::add_referral(dns::Message& out,
                                const dns::RRset& delegation) const {
   out.header.aa = false;
   delegation.append_records(out.authorities);
-  for (const auto& rd : delegation.rdatas) {
-    zone_.append_glue(std::get<dns::NsRdata>(rd).nsdname, out.additionals);
+  for (const dns::RdataView ns : delegation) {
+    zone_.append_glue(ns.target(), out.additionals);
   }
 }
 
@@ -73,8 +73,7 @@ Disposition QueryEngine::lookup(const dns::Question& q,
       if (cname != nullptr && q.qtype != dns::RRType::CNAME &&
           q.qtype != dns::RRType::ANY) {
         cname->append_records(out.answers);
-        const auto& target =
-            std::get<dns::CnameRdata>(cname->rdatas.front()).target;
+        const dns::Name target = cname->front().target();
         if (target.is_subdomain_of(zone_.origin())) {
           qname = target;
           continue;  // chase in-zone
@@ -96,9 +95,8 @@ Disposition QueryEngine::lookup(const dns::Question& q,
             s.append_records(out.answers);
             // NS answers at the apex get glue in additional.
             if (q.qtype == dns::RRType::NS) {
-              for (const auto& rd : s.rdatas) {
-                zone_.append_glue(std::get<dns::NsRdata>(rd).nsdname,
-                                  out.additionals);
+              for (const dns::RdataView ns : s) {
+                zone_.append_glue(ns.target(), out.additionals);
               }
             }
             return Disposition::Answer;
@@ -126,8 +124,7 @@ Disposition QueryEngine::lookup(const dns::Question& q,
             zone_.find_wildcard(qname, dns::RRType::CNAME);
         wc_cname != nullptr && q.qtype != dns::RRType::CNAME) {
       wc_cname->append_records(out.answers, qname, wc_cname->ttl);
-      const auto& target =
-          std::get<dns::CnameRdata>(wc_cname->rdatas.front()).target;
+      const dns::Name target = wc_cname->front().target();
       if (target.is_subdomain_of(zone_.origin())) {
         qname = target;
         continue;

@@ -35,9 +35,9 @@ class QueryEngine {
 
   /// Resolves one question against the zone into a caller-owned response:
   /// sets its rcode and aa flag and appends to its three sections (which
-  /// the caller has emptied). Records are copied straight from the zone's
-  /// RRsets, so a response whose sections have grown before allocates
-  /// nothing. Returns the branch taken.
+  /// the caller has emptied). Records are built straight from the blocks
+  /// of the zone's RRsets, so a response whose sections have grown before
+  /// allocates nothing. Returns the branch taken.
   Disposition lookup(const dns::Question& q, dns::Message& out) const;
 
   /// lookup into a fresh result.

@@ -1,5 +1,6 @@
 #include "authns/zone.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace recwild::authns {
@@ -36,13 +37,13 @@ Zone Zone::from_text(Name origin, std::string_view master_text,
   opts.origin = origin;
   opts.default_ttl = default_ttl;
   Zone zone{std::move(origin)};
-  for (auto& rr : dns::parse_zone_text(master_text, opts)) {
-    zone.add(std::move(rr));
+  for (const auto& rr : dns::parse_zone_text(master_text, opts)) {
+    zone.add(rr);
   }
   return zone;
 }
 
-void Zone::add(ResourceRecord rr) {
+void Zone::add(const ResourceRecord& rr) {
   if (!rr.name.is_subdomain_of(origin_)) {
     throw std::invalid_argument{"Zone::add: " + rr.name.to_string() +
                                 " is outside zone " + origin_.to_string()};
@@ -53,14 +54,13 @@ void Zone::add(ResourceRecord rr) {
   auto& sets = names_[rr.name];
   by_ref_[owners_.intern(rr.name).value] = &sets;
   const RRType t = rr.type();
-  for (auto& s : sets) {
-    if (s.type == t) {
-      s.ttl = std::min(s.ttl, rr.ttl);
-      s.rdatas.push_back(std::move(rr.rdata));
-      return;
-    }
+  auto it = std::find_if(sets.begin(), sets.end(),
+                         [t](const RRset& s) { return s.type == t; });
+  if (it == sets.end()) {
+    it = sets.insert(it, RRset{rr.name, rr.rrclass, t, rr.ttl, {}});
   }
-  sets.push_back(RRset{rr.name, rr.rrclass, t, rr.ttl, {std::move(rr.rdata)}});
+  it->ttl = std::min(it->ttl, rr.ttl);
+  it->add(rr.rdata);  // an exact duplicate is dropped (RFC 2181 §5)
 }
 
 const RRset* Zone::find(const Name& name, RRType type) const {
@@ -89,15 +89,14 @@ bool Zone::name_exists(const Name& name) const {
 
 std::optional<dns::SoaRdata> Zone::soa() const {
   const RRset* s = find(origin_, RRType::SOA);
-  if (s == nullptr || s->rdatas.empty()) return std::nullopt;
-  return std::get<dns::SoaRdata>(s->rdatas.front());
+  if (s == nullptr || s->empty()) return std::nullopt;
+  return std::get<dns::SoaRdata>(s->front().to_rdata());
 }
 
 dns::Ttl Zone::negative_ttl() const {
-  const auto s = soa();
-  if (!s) return 300;
   const RRset* soa_set = find(origin_, RRType::SOA);
-  return std::min<dns::Ttl>(s->minimum, soa_set ? soa_set->ttl : s->minimum);
+  if (soa_set == nullptr || soa_set->empty()) return 300;
+  return std::min(soa_set->front().soa_minimum(), soa_set->ttl);
 }
 
 const RRset* Zone::apex_ns() const { return find(origin_, RRType::NS); }

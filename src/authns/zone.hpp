@@ -43,9 +43,11 @@ class Zone {
   [[nodiscard]] const Name& origin() const noexcept { return origin_; }
   [[nodiscard]] RRClass rrclass() const noexcept { return rrclass_; }
 
-  /// Adds one record. Throws std::invalid_argument if the owner is outside
-  /// the zone or the class mismatches.
-  void add(ResourceRecord rr);
+  /// Adds one record to its RRset. An exact duplicate of a record already
+  /// there is dropped, as NSD and BIND do on load (RFC 2181 §5); its TTL
+  /// still lowers the set's. Throws std::invalid_argument if the owner is
+  /// outside the zone or the class mismatches.
+  void add(const ResourceRecord& rr);
 
   /// The RRset at (name, type), or nullptr.
   [[nodiscard]] const RRset* find(const Name& name, RRType type) const;

@@ -104,9 +104,9 @@ void Forwarder::on_upstream(const net::Datagram& dgram) {
   network_.sim().cancel(p.timeout_event);
 
   if (config_.cache_entries > 0 && resp.header.rcode == dns::Rcode::NoError) {
-    for (const auto& set : dns::group_rrsets(resp.answers)) {
-      cache_.put(set, network_.sim().now());
-    }
+    dns::for_each_rrset(resp.answers, [this](dns::RRset&& set) {
+      cache_.put(std::move(set), network_.sim().now());
+    });
   }
 
   resp.header.id = p.client_id;

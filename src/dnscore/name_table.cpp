@@ -1,5 +1,7 @@
 #include "dnscore/name_table.hpp"
 
+#include <algorithm>
+
 namespace recwild::dns {
 
 namespace {
@@ -35,6 +37,11 @@ std::optional<NameRef> NameTable::find(const Name& name) const {
     idx = (idx + 1) & mask;
   }
   return std::nullopt;
+}
+
+void NameTable::clear() noexcept {
+  names_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
 }
 
 void NameTable::grow() {

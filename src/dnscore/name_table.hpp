@@ -43,6 +43,10 @@ class NameTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
 
+  /// Forgets every name (ids restart at 0) but keeps the storage, so
+  /// refilling the table up to its old size allocates nothing.
+  void clear() noexcept;
+
  private:
   void grow();
 

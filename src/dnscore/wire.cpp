@@ -35,9 +35,10 @@ std::uint64_t fold_label(std::uint64_t suffix_h, std::uint64_t lh) {
 
 }  // namespace
 
-WireWriter::WireWriter()
+WireWriter::WireWriter(bool compress)
     : buf_(net::WireBufferPool::acquire()),
-      table_(net::WireBufferPool::acquire_scratch16()) {}
+      table_(net::WireBufferPool::acquire_scratch16()),
+      compress_(compress) {}
 
 WireWriter::~WireWriter() {
   net::WireBufferPool::release(std::move(buf_));
@@ -158,7 +159,7 @@ void WireWriter::grow_table() {
 void WireWriter::name(const Name& n, bool compress) {
   const std::span<const std::uint8_t> wire = n.wire();
   const std::size_t count = n.label_count();
-  if (!compress || count == 0) {
+  if (!compress || !compress_ || count == 0) {
     bytes(wire);
     u8(0);  // root
     return;

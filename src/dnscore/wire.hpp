@@ -35,7 +35,9 @@ class WireError : public std::runtime_error {
 
 class WireWriter {
  public:
-  WireWriter();
+  /// With `compress` false every name is written in full, as RRset blocks
+  /// store them.
+  explicit WireWriter(bool compress = true);
   ~WireWriter();
   WireWriter(const WireWriter&) = delete;
   WireWriter& operator=(const WireWriter&) = delete;
@@ -54,9 +56,8 @@ class WireWriter {
   void bytes(std::span<const std::uint8_t> b);
 
   /// Writes a name, using a compression pointer when a suffix of it was
-  /// written before. Set `compress = false` inside RDATA types whose names
-  /// must not be compressed (none of our supported types require that, but
-  /// OPT option bodies are written raw).
+  /// written before and the writer compresses. Set `compress = false`
+  /// inside RDATA types whose names must not be compressed (SRV).
   void name(const Name& n, bool compress = true);
 
   /// Character-string: length byte + up to 255 octets (RFC 1035 §3.3).
@@ -85,6 +86,7 @@ class WireWriter {
   // kNoOffset when empty; offsets are <= 0x3fff so the sentinel is safe.
   std::vector<std::uint16_t> table_;
   std::size_t table_entries_ = 0;
+  bool compress_ = true;
 };
 
 class WireReader {

@@ -208,6 +208,17 @@ void RecordCache::attach_metrics(obs::MetricRegistry& registry) {
   obs_evictions_ = &registry.counter(obs::names::kRrcacheEvictions);
 }
 
+std::size_t RecordCache::bytes() const noexcept {
+  std::size_t n = chunks_.capacity() * sizeof(chunks_[0]) +
+                  chunks_.size() * kChunkSlots * sizeof(Slot) +
+                  index_.capacity() * sizeof(Bucket);
+  for_each_entry([&n](const CacheEntry& e) {
+    if (e.rrset.name.spilled()) n += e.rrset.name.wire().size();
+    if (e.rrset.block.spilled()) n += e.rrset.block.bytes().size();
+  });
+  return n;
+}
+
 void RecordCache::clear() {
   chunks_.clear();
   slots_used_ = 0;

@@ -38,7 +38,7 @@ struct RecordCacheConfig {
 
 /// A cached positive RRset or negative marker.
 struct CacheEntry {
-  dns::RRset rrset;            // empty rdatas => negative entry
+  dns::RRset rrset;            // no RDATA => negative entry
   net::SimTime expires_at;
   bool negative = false;
   dns::Rcode negative_rcode = dns::Rcode::NoError;  // NXDOMAIN vs NODATA
@@ -88,6 +88,19 @@ class RecordCache {
                     dns::Ttl ttl, net::SimTime now);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Heap bytes the cache holds: slab chunks and their table, the index,
+  /// and the spilled names and RDATA blocks of its entries (allocator
+  /// overhead excluded).
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
+  /// Calls `fn(const CacheEntry&)` for every entry, expired ones included,
+  /// most recently used first. Counts nothing and touches no LRU order.
+  template <class Fn>
+  void for_each_entry(Fn&& fn) const {
+    for (SlotId id = lru_head_; id != kNone; id = slot(id).next) {
+      fn(slot(id).entry);
+    }
+  }
   void clear();
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }

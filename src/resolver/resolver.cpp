@@ -11,12 +11,6 @@ namespace {
 
 constexpr net::Port kUpstreamPort = 10'053;
 
-/// Compact qnames_ once it holds this many names and the vast majority of
-/// them are dead (no longer referenced by any outstanding query). Keeps the
-/// intern table bounded under cache-busting workloads where every query
-/// carries a fresh random subdomain.
-constexpr std::size_t kQnameCompactMin = 4096;
-
 /// Records per section the reused receive message keeps room for between
 /// upstream responses: a lone answer or SOA. A larger reply's storage
 /// (a referral's NS set and glue) is released once it has been handled.
@@ -122,11 +116,10 @@ void RecursiveResolver::flush_caches() {
 }
 
 void RecursiveResolver::compact_qnames() {
-  dns::NameTable fresh;
+  qnames_.clear();
   for (auto& [txkey, out] : outstanding_) {
-    out.qname_ref = fresh.intern(out.qname);
+    out.qname_ref = qnames_.intern(out.qname);
   }
-  qnames_ = std::move(fresh);
   by_qname_.assign(qnames_.size(), {});
   for (const auto& [txkey, out] : outstanding_) {
     track_outstanding(out.qname_ref, txkey);
@@ -384,14 +377,13 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
     const CacheHit ns_set = cache_.get(candidate, dns::RRType::NS, now);
     if (!ns_set) continue;
     servers.clear();
-    for (const auto& rd : ns_set.rrset->rdatas) {
-      const auto& ns_name = std::get<dns::NsRdata>(rd).nsdname;
+    for (const dns::RdataView ns : *ns_set.rrset) {
+      const dns::Name ns_name = ns.target();
       if (config_.family != AddressFamily::V4Only) {
         if (const CacheHit aaaa =
                 cache_.get(ns_name, dns::RRType::AAAA, now)) {
-          for (const auto& ard : aaaa.rrset->rdatas) {
-            if (auto addr = net::IpAddress::from_mapped_ipv6(
-                    std::get<dns::AaaaRdata>(ard).address)) {
+          for (const dns::RdataView ard : *aaaa.rrset) {
+            if (auto addr = net::IpAddress::from_mapped_ipv6(ard.aaaa())) {
               servers.push_back(*addr);
             }
           }
@@ -399,8 +391,8 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
       }
       if (config_.family != AddressFamily::V6Only) {
         if (const CacheHit a = cache_.get(ns_name, dns::RRType::A, now)) {
-          for (const auto& ard : a.rrset->rdatas) {
-            servers.push_back(std::get<dns::ARdata>(ard).address);
+          for (const dns::RdataView ard : *a.rrset) {
+            servers.push_back(ard.a());
           }
         }
       }
@@ -449,8 +441,7 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
       if (const CacheHit cname = cache_.get(job->current_name,
                                             dns::RRType::CNAME, now)) {
         cname.append_records(job->chain);
-        job->current_name =
-            std::get<dns::CnameRdata>(cname.rrset->rdatas.front()).target;
+        job->current_name = cname.rrset->front().target();
         job->min_labels = 0;  // restart minimization for the new target
         if (++job->indirections > config_.max_indirections) {
           finish(job, dns::Rcode::ServFail);
@@ -905,9 +896,8 @@ bool RecursiveResolver::has_cached_address(const dns::Name& ns_name,
   // hits/misses or reorder the LRU.
   if (config_.family != AddressFamily::V4Only) {
     if (const auto* aaaa_set = cache_.peek(ns_name, dns::RRType::AAAA, now)) {
-      for (const auto& rd : aaaa_set->rdatas) {
-        if (net::IpAddress::from_mapped_ipv6(
-                std::get<dns::AaaaRdata>(rd).address)) {
+      for (const dns::RdataView rd : *aaaa_set) {
+        if (net::IpAddress::from_mapped_ipv6(rd.aaaa())) {
           return true;
         }
       }

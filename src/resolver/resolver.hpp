@@ -179,8 +179,14 @@ class RecursiveResolver {
   [[nodiscard]] std::uint64_t tcp_retries() const noexcept {
     return tcp_retries_;
   }
-  /// Distinct upstream qnames currently interned. Bounded: the table is
-  /// compacted down to the outstanding set once it crosses a threshold.
+  /// The interned-qname table is compacted down to the outstanding set
+  /// when it holds at least this many names and more than four times as
+  /// many as are outstanding. That keeps it within max(kQnameCompactMin,
+  /// 4 x in flight + 4) names under cache-busting workloads where every
+  /// query carries a fresh subdomain; compaction reuses the table's
+  /// storage, so the low floor costs no allocations.
+  static constexpr std::size_t kQnameCompactMin = 64;
+  /// Distinct upstream qnames currently interned (see kQnameCompactMin).
   [[nodiscard]] std::size_t interned_qnames() const noexcept {
     return qnames_.size();
   }

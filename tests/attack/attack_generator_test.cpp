@@ -39,9 +39,8 @@ TEST(MakeNxnsZones, ApexHasGlueAndInternalDelegationsStayGlued) {
   const auto* step1 = apex.find(dns::Name::parse("c0.atk.nl"),
                                 dns::RRType::NS);
   ASSERT_NE(step1, nullptr);
-  ASSERT_EQ(step1->rdatas.size(), 1u);
-  EXPECT_EQ(std::get<dns::NsRdata>(step1->rdatas[0]).nsdname,
-            dns::Name::parse("ns.atk.nl"));
+  ASSERT_EQ(step1->size(), 1u);
+  EXPECT_EQ(step1->front().target(), dns::Name::parse("ns.atk.nl"));
 }
 
 TEST(MakeNxnsZones, FinalDelegationNamesFanoutGluelessVictimHosts) {
@@ -57,9 +56,9 @@ TEST(MakeNxnsZones, FinalDelegationNamesFanoutGluelessVictimHosts) {
   const auto* final_ns = chain1->find(dns::Name::parse("g.c1.atk.nl"),
                                       dns::RRType::NS);
   ASSERT_NE(final_ns, nullptr);
-  ASSERT_EQ(final_ns->rdatas.size(), 5u);
-  for (const auto& rdata : final_ns->rdatas) {
-    const dns::Name& target = std::get<dns::NsRdata>(rdata).nsdname;
+  ASSERT_EQ(final_ns->size(), 5u);
+  for (const dns::RdataView ns : *final_ns) {
+    const dns::Name target = ns.target();
     // Glueless by construction: the target lives in the victim's domain...
     EXPECT_TRUE(target.is_subdomain_of(
         dns::Name::parse("ourtestdomain.nl")));
@@ -70,7 +69,7 @@ TEST(MakeNxnsZones, FinalDelegationNamesFanoutGluelessVictimHosts) {
     EXPECT_TRUE(is_attack_query_name(target));
   }
   // Chain 1's slice starts at v5 (chain * fanout).
-  EXPECT_EQ(std::get<dns::NsRdata>(final_ns->rdatas[0]).nsdname,
+  EXPECT_EQ(final_ns->front().target(),
             dns::Name::parse("v5.ourtestdomain.nl"));
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "authns/query_engine.hpp"
+#include "dnscore/codec.hpp"
+
 namespace recwild::authns {
 namespace {
 
@@ -204,6 +210,74 @@ TEST(Zone, MergesRecordsIntoRRsets) {
   ASSERT_NE(set, nullptr);
   EXPECT_EQ(set->size(), 2u);
   EXPECT_EQ(set->ttl, 50u);  // min TTL wins
+}
+
+TEST(Zone, DropsDuplicateRecords) {
+  // RFC 2181 §5: a zone text listing one record twice serves it once. The
+  // duplicate's lower TTL still applies to the set.
+  const Zone z = Zone::from_text(dns::Name::parse("x.nl"), R"(
+$TTL 3600
+@    IN SOA ns hostmaster 1 2 3 4 300
+@    IN NS  ns
+ns   IN A   192.0.2.53
+www  IN A   192.0.2.1
+www  IN A   192.0.2.1
+www  60 IN A 192.0.2.1
+www  IN A   192.0.2.2
+)");
+  const auto* set = z.find(dns::Name::parse("www.x.nl"), dns::RRType::A);
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->size(), 2u);
+  EXPECT_EQ(set->ttl, 60u);
+  EXPECT_EQ(z.record_count(), 5u);
+  const LookupResult r = QueryEngine{z}.lookup(dns::Question{
+      dns::Name::parse("www.x.nl"), dns::RRType::A, dns::RRClass::IN});
+  EXPECT_EQ(r.answers.size(), 2u);
+}
+
+// Shard replicas answer from the same const zones on several threads. Every
+// reply must match a single-thread answer byte for byte (the tsan job runs
+// this test).
+TEST(SharedZone, FourThreadsAnswerByteIdentically) {
+  const Zone zone = make_zone();
+  std::vector<dns::Message> queries;
+  for (const auto& [name, type] :
+       std::vector<std::pair<const char*, dns::RRType>>{
+           {"www.example.nl", dns::RRType::A},
+           {"alias.example.nl", dns::RRType::A},
+           {"x.wild.example.nl", dns::RRType::TXT},
+           {"host.child.example.nl", dns::RRType::A},
+           {"example.nl", dns::RRType::NS},
+           {"example.nl", dns::RRType::SOA},
+           {"www.example.nl", dns::RRType::TXT},
+           {"b.c.example.nl", dns::RRType::A},
+           {"nope.example.nl", dns::RRType::A}}) {
+    queries.push_back(dns::Message::make_query(
+        static_cast<std::uint16_t>(queries.size()), dns::Name::parse(name),
+        type));
+  }
+  const auto answer = [&zone](const dns::Message& q) {
+    dns::Message resp = dns::Message::make_response(q);
+    (void)QueryEngine{zone}.lookup(q.question(), resp);
+    const net::WireBuffer wire = dns::encode_message(resp);
+    return std::vector<std::uint8_t>(wire.data(), wire.data() + wire.size());
+  };
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const auto& q : queries) expected.push_back(answer(q));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 200; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          if (answer(queries[i]) != expected[i]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

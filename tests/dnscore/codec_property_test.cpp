@@ -10,11 +10,13 @@
 // WireError or decode to something that still re-encodes deterministically
 // (never crash, never read out of bounds — the ASan/UBSan CI jobs run this
 // file too).
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -245,6 +247,91 @@ TEST(CodecReuse, ReusedTargetMatchesFreshDecode) {
         << "stream message " << i;
   }
   EXPECT_GE(threw, 13);  // the truncated copies and the pointer loop
+}
+
+/// for_each_rrset's grouping done the obvious way: each set's records in
+/// their order, at the set's first record, owned by that record's spelling
+/// and carrying the set's minimum TTL.
+std::vector<ResourceRecord> grouped(const std::vector<ResourceRecord>& in) {
+  std::vector<ResourceRecord> out;
+  std::vector<bool> done(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (done[i]) continue;
+    const auto same = [&](const ResourceRecord& o) {
+      return o.type() == in[i].type() && o.rrclass == in[i].rrclass &&
+             o.name == in[i].name;
+    };
+    Ttl ttl = in[i].ttl;
+    for (std::size_t j = i; j < in.size(); ++j) {
+      if (same(in[j])) ttl = std::min(ttl, in[j].ttl);
+    }
+    for (std::size_t j = i; j < in.size(); ++j) {
+      if (!same(in[j])) continue;
+      done[j] = true;
+      out.push_back(ResourceRecord{in[i].name, in[i].rrclass, ttl,
+                                   in[j].rdata});
+    }
+  }
+  return out;
+}
+
+/// Every section through RRset blocks and back out as records.
+Message through_rrsets(const Message& m) {
+  Message out = m;
+  for (auto* section : {&out.answers, &out.authorities, &out.additionals}) {
+    std::vector<ResourceRecord> records;
+    for_each_rrset(*section,
+                   [&records](RRset&& set) { set.append_records(records); });
+    *section = std::move(records);
+  }
+  return out;
+}
+
+void expect_same_records(const std::vector<ResourceRecord>& got,
+                         const std::vector<ResourceRecord>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << where << " record " << i;
+    // Equality folds case; the presentation form pins it.
+    EXPECT_EQ(got[i].to_string(), want[i].to_string()) << where;
+  }
+}
+
+// An RRset stores its RDATAs as uncompressed wire bytes; reading them back
+// must give the records that went in, and the message must re-encode to
+// the same bytes (compression is applied again on the way out).
+TEST(CodecProperty, RRsetBlocksGiveBackTheRecords) {
+  std::vector<std::pair<std::string, Bytes>> wires;
+  for (const char* name : {"ns_referral_compressed.bin", "notify.bin",
+                           "truncated_udp_answer.bin"}) {
+    wires.emplace_back(name, golden(name));
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Gen gen{seed};
+    for (int i = 0; i < 64; ++i) {
+      wires.emplace_back("seed " + std::to_string(seed) + " message " +
+                             std::to_string(i),
+                         to_bytes(encode_message(gen.message())));
+    }
+  }
+  for (const auto& [where, wire] : wires) {
+    const Message m = decode_message(wire);
+    const Message got = through_rrsets(m);
+    expect_same_records(got.answers, grouped(m.answers), where);
+    expect_same_records(got.authorities, grouped(m.authorities), where);
+    expect_same_records(got.additionals, grouped(m.additionals), where);
+    Message want = m;
+    want.answers = grouped(m.answers);
+    want.authorities = grouped(m.authorities);
+    want.additionals = grouped(m.additionals);
+    EXPECT_EQ(to_bytes(encode_message(got)), to_bytes(encode_message(want)))
+        << where;
+  }
+  // The referral fixture's sets are already grouped: its bytes come back.
+  const Bytes referral = golden("ns_referral_compressed.bin");
+  EXPECT_EQ(to_bytes(encode_message(through_rrsets(decode_message(referral)))),
+            referral);
 }
 
 // Compression pointers must work at every offset class: targets below 255,

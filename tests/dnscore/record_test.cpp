@@ -2,12 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
+#include "dnscore/codec.hpp"
+
 namespace recwild::dns {
 namespace {
 
 ResourceRecord a_record(const char* name, std::uint32_t ip, Ttl ttl = 60) {
   return ResourceRecord{Name::parse(name), RRClass::IN, ttl,
                         ARdata{net::IpAddress{ip}}};
+}
+
+std::vector<RRset> group(const std::vector<ResourceRecord>& records) {
+  std::vector<RRset> sets;
+  for_each_rrset(records,
+                 [&sets](RRset&& set) { sets.push_back(std::move(set)); });
+  return sets;
+}
+
+RRset set_of(RRType type, std::initializer_list<Rdata> rdatas) {
+  RRset set{Name::parse("x.nl"), RRClass::IN, type, 60, {}};
+  for (const Rdata& rd : rdatas) set.add(rd);
+  return set;
+}
+
+std::vector<std::uint8_t> wire_of(const Name& name) {
+  std::vector<std::uint8_t> out{name.wire().begin(), name.wire().end()};
+  out.push_back(0);
+  return out;
 }
 
 TEST(Record, TypeComesFromRdata) {
@@ -23,16 +47,114 @@ TEST(Record, ToStringIsPresentationLine) {
 }
 
 TEST(RRset, ToRecordsExpandsAll) {
-  RRset set;
-  set.name = Name::parse("x.nl");
-  set.type = RRType::A;
-  set.ttl = 60;
-  set.rdatas = {ARdata{net::IpAddress{1}}, ARdata{net::IpAddress{2}}};
-  const auto records = set.to_records();
+  const RRset set = set_of(
+      RRType::A, {ARdata{net::IpAddress{1}}, ARdata{net::IpAddress{2}}});
+  std::vector<ResourceRecord> records;
+  set.append_records(records);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].ttl, 60u);
   EXPECT_EQ(records[0].name, set.name);
-  EXPECT_NE(records[0].rdata, records[1].rdata);
+  EXPECT_EQ(records[0].rdata, Rdata{ARdata{net::IpAddress{1}}});
+  EXPECT_EQ(records[1].rdata, Rdata{ARdata{net::IpAddress{2}}});
+}
+
+TEST(RRset, ViewsReadTypedFields) {
+  EXPECT_EQ(set_of(RRType::A, {ARdata{net::IpAddress{0x0a000001}}})
+                .front()
+                .a(),
+            net::IpAddress{0x0a000001});
+  AaaaRdata aaaa;
+  aaaa.address[15] = 7;
+  EXPECT_EQ(set_of(RRType::AAAA, {aaaa}).front().aaaa(), aaaa.address);
+  EXPECT_EQ(set_of(RRType::CNAME, {CnameRdata{Name::parse("t.example")}})
+                .front()
+                .target(),
+            Name::parse("t.example"));
+  SoaRdata soa{Name::parse("ns.x.nl"), Name::parse("h.x.nl"), 1, 2, 3, 4,
+               300};
+  const RRset soa_set = set_of(RRType::SOA, {soa});
+  EXPECT_EQ(soa_set.front().soa_minimum(), 300u);
+  EXPECT_EQ(soa_set.front().to_rdata(), Rdata{soa});
+}
+
+TEST(RRset, DropsExactDuplicates) {
+  RRset set = set_of(RRType::A, {ARdata{net::IpAddress{1}}});
+  EXPECT_FALSE(set.add(ARdata{net::IpAddress{1}}));
+  EXPECT_TRUE(set.add(ARdata{net::IpAddress{2}}));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(RRset, OneTxtAndOneAddressStayInline) {
+  EXPECT_FALSE(set_of(RRType::TXT, {TxtRdata{{"FRA"}}}).block.spilled());
+  EXPECT_FALSE(
+      set_of(RRType::A, {ARdata{net::IpAddress{1}}}).block.spilled());
+  EXPECT_LE(sizeof(RRset), 80u);
+}
+
+TEST(RRset, EmptyRdataIsOneEntry) {
+  const RRset set = set_of(RRType::TXT, {TxtRdata{}});
+  EXPECT_FALSE(set.empty());
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.front().wire().empty());
+  EXPECT_EQ(set.front().to_rdata(), Rdata{TxtRdata{}});
+}
+
+TEST(RRset, BlockPastInlineCapacitySpillsOnce) {
+  const std::uint64_t before = RdataBlock::heap_spills();
+  // Four A records take 4 x (2 + 4) = 24 bytes, past the 22 inline.
+  const RRset set =
+      set_of(RRType::A, {ARdata{net::IpAddress{1}}, ARdata{net::IpAddress{2}},
+                         ARdata{net::IpAddress{3}}});
+  EXPECT_FALSE(set.block.spilled());
+  RRset big = set;
+  big.add(ARdata{net::IpAddress{4}});
+  EXPECT_TRUE(big.block.spilled());
+  EXPECT_EQ(RdataBlock::heap_spills() - before, 1u);
+  const RRset copy = big;  // a deep copy of the heap block
+  EXPECT_NE(copy.block.bytes().data(), big.block.bytes().data());
+  EXPECT_TRUE(std::ranges::equal(copy.block.bytes(), big.block.bytes()));
+  std::uint32_t ip = 1;
+  for (const RdataView rd : copy) EXPECT_EQ(rd.a(), net::IpAddress{ip++});
+  EXPECT_EQ(ip, 5u);
+}
+
+TEST(RRset, HoldsA65535OctetRdata) {
+  RawRdata raw{0xff00, std::vector<std::uint8_t>(65'535, 0xab)};
+  const RRset set = set_of(static_cast<RRType>(0xff00), {raw});
+  EXPECT_TRUE(set.block.spilled());
+  EXPECT_EQ(set.block.bytes().size(), 65'537u);
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.front().to_rdata(), Rdata{raw});
+  raw.data.push_back(0);
+  RRset over{Name::parse("x.nl"), RRClass::IN, static_cast<RRType>(0xff00),
+             60, {}};
+  EXPECT_THROW(over.add(raw), WireError);
+  EXPECT_TRUE(over.empty());
+}
+
+TEST(RRset, CompressedNsTargetIsStoredUncompressed) {
+  std::ifstream in{std::string{RECWILD_GOLDEN_DIR} +
+                       "/ns_referral_compressed.bin",
+                   std::ios::binary};
+  const std::vector<std::uint8_t> wire{std::istreambuf_iterator<char>(in),
+                                       std::istreambuf_iterator<char>()};
+  const Message m = decode_message(wire);
+  const std::vector<RRset> sets = group(m.authorities);
+  ASSERT_EQ(sets.size(), 1u);
+  ASSERT_EQ(sets[0].size(), 2u);
+  EXPECT_TRUE(std::ranges::equal(sets[0].front().wire(),
+                                 wire_of(Name::parse("ns1.example.nl"))));
+  EXPECT_TRUE(std::ranges::equal((*std::next(sets[0].begin())).wire(),
+                                 wire_of(Name::parse("ns2.example.nl"))));
+}
+
+TEST(RRset, CaseIsPreserved) {
+  const RRset set =
+      set_of(RRType::NS, {NsRdata{Name::parse("NS1.Example.NL")}});
+  EXPECT_EQ(set.front().target().to_string(), "NS1.Example.NL.");
+  std::vector<ResourceRecord> out;
+  set.append_records(out);
+  EXPECT_EQ(out[0].to_string(), "x.nl. 60 IN NS NS1.Example.NL.");
 }
 
 TEST(GroupRRsets, GroupsByNameAndType) {
@@ -42,7 +164,7 @@ TEST(GroupRRsets, GroupsByNameAndType) {
       a_record("b.nl", 3),
       {Name::parse("a.nl"), RRClass::IN, 60, TxtRdata{{"t"}}},
   };
-  const auto sets = group_rrsets(records);
+  const auto sets = group(records);
   ASSERT_EQ(sets.size(), 3u);
   EXPECT_EQ(sets[0].size(), 2u);  // two A records at a.nl
   EXPECT_EQ(sets[1].size(), 1u);
@@ -54,7 +176,7 @@ TEST(GroupRRsets, MixedTtlNormalizedToMinimum) {
       a_record("a.nl", 1, 300),
       a_record("a.nl", 2, 100),
   };
-  const auto sets = group_rrsets(records);
+  const auto sets = group(records);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_EQ(sets[0].ttl, 100u);
 }
@@ -64,19 +186,17 @@ TEST(GroupRRsets, CaseInsensitiveOwnerMatch) {
       a_record("A.NL", 1),
       a_record("a.nl", 2),
   };
-  EXPECT_EQ(group_rrsets(records).size(), 1u);
+  EXPECT_EQ(group(records).size(), 1u);
 }
 
-TEST(GroupRRsets, EmptyInput) {
-  EXPECT_TRUE(group_rrsets({}).empty());
-}
+TEST(GroupRRsets, EmptyInput) { EXPECT_TRUE(group({}).empty()); }
 
 TEST(GroupRRsets, PreservesFirstSeenOrder) {
   const std::vector<ResourceRecord> records{
       a_record("z.nl", 1),
       a_record("a.nl", 2),
   };
-  const auto sets = group_rrsets(records);
+  const auto sets = group(records);
   EXPECT_EQ(sets[0].name, Name::parse("z.nl"));
   EXPECT_EQ(sets[1].name, Name::parse("a.nl"));
 }

@@ -9,7 +9,8 @@
 // The same runs must spill no domain name, TXT RDATA or server address
 // list to the heap (every one they build fits its type's inline buffer)
 // and must schedule no event whose capture outgrew EventFn's inline
-// buffer.
+// buffer. No cached one-TXT or single-A RRset (a probe answer, a glue
+// address) may hold its RDATA on the heap either.
 //
 // Sanitizer builds count the same allocations: the sanitizers intercept
 // malloc, which this operator new calls, so the test runs there too.
@@ -22,6 +23,7 @@
 
 #include "dnscore/name.hpp"
 #include "dnscore/rdata.hpp"
+#include "dnscore/record.hpp"
 #include "experiment/campaign.hpp"
 #include "experiment/scan.hpp"
 #include "net/address_list.hpp"
@@ -74,8 +76,8 @@ namespace {
 
 // Allocations per completed query when the budget was set (GCC 12,
 // Release). A rise of more than 10% fails the test.
-constexpr double kCampaignBudget = 16.73;
-constexpr double kScanBudget = 13.06;
+constexpr double kCampaignBudget = 15.14;
+constexpr double kScanBudget = 10.20;
 constexpr double kSlack = 1.10;
 
 struct Measured {
@@ -132,6 +134,27 @@ void check_budget(const char* workload, const Measured& m,
       << workload << ": an event capture outgrew EventFn's inline buffer";
 }
 
+/// Expects every cached one-TXT and single-A set of the testbed's
+/// recursives to hold its RDATA inline.
+void expect_small_sets_inline(Testbed& tb, const char* workload) {
+  std::size_t small = 0;
+  std::size_t spilled = 0;
+  for (auto& r : tb.population().recursives()) {
+    r.resolver->cache().for_each_entry([&](const resolver::CacheEntry& e) {
+      const dns::RRset& set = e.rrset;
+      if ((set.type != dns::RRType::TXT && set.type != dns::RRType::A) ||
+          set.size() != 1) {
+        return;
+      }
+      ++small;
+      if (set.block.spilled()) ++spilled;
+    });
+  }
+  EXPECT_GT(small, 0u) << workload;
+  EXPECT_EQ(spilled, 0u)
+      << workload << ": a one-TXT or single-A RRset spilled to the heap";
+}
+
 TEST(AllocBudget, CampaignSeed2026) {
   // The configuration of the campaign_seed2026 fixtures.
   TestbedConfig cfg;
@@ -149,6 +172,7 @@ TEST(AllocBudget, CampaignSeed2026) {
   check_budget("campaign", m,
                result.metrics.counter_value(obs::names::kCampaignQueriesSent),
                kCampaignBudget);
+  expect_small_sets_inline(tb, "campaign");
 }
 
 TEST(AllocBudget, Scan2000Names) {
@@ -167,6 +191,7 @@ TEST(AllocBudget, Scan2000Names) {
   check_budget("scan", m,
                result.metrics.counter_value(obs::names::kScanNamesCompleted),
                kScanBudget);
+  expect_small_sets_inline(tb, "scan");
 }
 
 }  // namespace

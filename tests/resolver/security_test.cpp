@@ -205,7 +205,8 @@ TEST(Security, MismatchedResponsesIgnored) {
       res.cache().get(dns::Name::parse("target.test"), dns::RRType::TXT,
                       sim.now());
   ASSERT_TRUE(cached);
-  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->rdatas[0]).strings()[0],
+  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->front().to_rdata())
+                .strings()[0],
             "legit");
 }
 
