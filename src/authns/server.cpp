@@ -171,7 +171,7 @@ void AuthServer::on_datagram(const net::Datagram& dgram, net::NodeId at_node) {
     if (victim_) obs_victim_queries_->add(1, network_.sim().now());
     log_.record(QueryLogEntry{network_.sim().now(), dgram.src.addr,
                               query.question().qname,
-                              query.question().qtype, dns::Rcode::NoError});
+                              query.question().qtype});
     if (trace_->enabled()) {
       trace_->record({network_.sim().now(), obs::TraceKind::AuthQuery,
                       config_.identity, query.question().qname.to_string(),

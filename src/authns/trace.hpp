@@ -6,6 +6,8 @@
 //
 // Format (one record per line, tab-separated):
 //   <t_us>\t<client>\t<server>\t<qname>\t<qtype>\t<rcode>
+// write_trace() fills <rcode> with NOERROR: a QueryLog records queries,
+// not answers. read_trace() accepts any rcode, for traces made elsewhere.
 #pragma once
 
 #include <istream>

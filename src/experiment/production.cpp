@@ -177,11 +177,7 @@ ClientCounts run_production_shard(
                     : world.nl_services();
 
   // Aggregates only at the authoritatives: drop per-packet log entries.
-  for (auto& svc : group) {
-    for (auto& site : svc.sites()) {
-      site.server->log().set_retain_entries(false);
-    }
-  }
+  world.retain_query_log_entries(false);
 
   const net::SimTime end =
       net::SimTime::origin() +

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -47,9 +48,8 @@ std::uint64_t names_owned(std::uint64_t total, std::size_t vp_count,
   return base + (static_cast<std::uint64_t>(v) < total % vp_count ? 1 : 0);
 }
 
-/// What one shard accumulates; folded into ScanResult by the caller.
+/// What one shard counts; folded into ScanResult by the caller.
 struct ShardOutput {
-  std::vector<obs::ScanRow> rows;  // tagged with global indices, any order
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
   net::SimTime last_completion = net::SimTime::origin();
@@ -70,8 +70,15 @@ struct VpScan {
 /// advances only on its own completions — so the rows a VP produces depend
 /// only on the seed and the VPs sharing its recursive, never on the
 /// partition.
+///
+/// Each completed name's row is written once, straight into `rows[index]`
+/// (`rows` is empty when rows are not collected). Every index belongs to
+/// exactly one VP, so concurrent shards write disjoint elements of the
+/// caller's vector and no merge is needed. A streaming sink would take the
+/// place of `rows` here.
 ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
-                           const std::vector<std::size_t>& vp_indices) {
+                           const std::vector<std::size_t>& vp_indices,
+                           std::span<obs::ScanRow> rows) {
   auto& sim = world.sim();
   auto& pop = world.population();
   const std::size_t vp_count = world.world()->population.vp_count();
@@ -83,13 +90,6 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
   obs::Counter* completed_ctr = &m.counter(obs::names::kScanNamesCompleted);
 
   auto out = std::make_shared<ShardOutput>();
-  if (config.collect_rows) {
-    std::uint64_t owned_total = 0;
-    for (const std::size_t v : vp_indices) {
-      owned_total += names_owned(total, vp_count, v);
-    }
-    out->rows.reserve(static_cast<std::size_t>(owned_total));
-  }
 
   auto states = std::make_shared<std::vector<VpScan>>();
   states->reserve(vp_indices.size());
@@ -116,7 +116,7 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
   const std::size_t window = std::max<std::size_t>(1, config.per_vp_window);
   auto issue_next = std::make_shared<std::function<void(VpScan*)>>();
   *issue_next = [&world, &config, issued_ctr, completed_ctr, out, domain,
-                 vp_count, issue_next](VpScan* st) {
+                 vp_count, rows, issue_next](VpScan* st) {
     if (st->next >= st->owned) return;
     // Owned-name ordinal k -> global index: k * vp_count + vp_index.
     const std::uint64_t index =
@@ -126,17 +126,16 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
     const dns::Name qname = name_of(config, domain, index);
     issued_ctr->add(1, world.sim().now());
     ++out->issued;
-    const bool collect = config.collect_rows;
     st->resolver->resolve(
         dns::Question{qname, config.qtype, dns::RRClass::IN},
-        [&world, completed_ctr, out, st, index, qname, collect,
+        [&world, completed_ctr, out, st, index, qname, rows,
          issue_next](const resolver::ResolveOutcome& outcome) {
           const net::SimTime now = world.sim().now();
           completed_ctr->add(1, now);
           ++out->completed;
           if (out->last_completion < now) out->last_completion = now;
-          if (collect) {
-            obs::ScanRow row;
+          if (!rows.empty()) {
+            obs::ScanRow& row = rows[static_cast<std::size_t>(index)];
             row.index = index;
             row.qname = qname.to_string();
             row.rcode = std::string{dns::to_string(outcome.rcode)};
@@ -154,7 +153,6 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
             row.upstream =
                 static_cast<std::uint32_t>(outcome.upstream_queries);
             row.cache_hit = outcome.upstream_queries == 0;
-            out->rows.push_back(std::move(row));
           }
           (*issue_next)(st);
         });
@@ -205,6 +203,8 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
   stats = ScanRunStats{};
 
   ScanResult result;
+  // Sized once, before any shard runs; shards fill it in place.
+  if (config.collect_rows) result.rows.resize(static_cast<std::size_t>(total));
 
   std::size_t shards =
       config.shards != 0
@@ -219,16 +219,6 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
       result.issued += o.issued;
       result.completed += o.completed;
       if (last < o.last_completion) last = o.last_completion;
-    }
-    if (config.collect_rows) {
-      // Merge by global index: every name completes exactly once, so the
-      // index-ordered list — and its JSONL bytes — is partition-free.
-      result.rows.resize(static_cast<std::size_t>(total));
-      for (ShardOutput& o : outputs) {
-        for (obs::ScanRow& row : o.rows) {
-          result.rows[static_cast<std::size_t>(row.index)] = std::move(row);
-        }
-      }
     }
     result.wall_s = run_wall_s;
     result.queries_per_s =
@@ -253,7 +243,7 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
     for (const auto& vp : vps) all.push_back(vp.probe_id);
     const auto t0 = WallClock::now();
     std::vector<ShardOutput> outputs;
-    outputs.push_back(run_scan_shard(testbed, config, all));
+    outputs.push_back(run_scan_shard(testbed, config, all, result.rows));
     stats.run_s = wall_seconds(WallClock::now() - t0);
     finalize(std::move(outputs), stats.run_s);
     return result;
@@ -280,16 +270,18 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
   std::vector<std::thread> workers;
   workers.reserve(parts.size() - 1);
   for (std::size_t i = 1; i < parts.size(); ++i) {
-    workers.emplace_back([&testbed, &config, &parts, &outputs, &accumulator,
-                          &accumulator_mu, &shard_events, &error, &error_mu,
-                          i] {
+    workers.emplace_back([&testbed, &config, &parts, &outputs, &result,
+                          &accumulator, &accumulator_mu, &shard_events,
+                          &error, &error_mu, i] {
       try {
         Testbed replica{testbed.world(), &parts[i]};
+        // Nothing reads a replica's query logs before it is destroyed.
+        replica.retain_query_log_entries(false);
         replica.sim().sync_obs();
         const obs::MetricsSnapshot baseline =
             replica.sim().metrics().snapshot();
         const std::size_t trace_base = replica.sim().trace().size();
-        outputs[i] = run_scan_shard(replica, config, parts[i]);
+        outputs[i] = run_scan_shard(replica, config, parts[i], result.rows);
         obs::MetricsSnapshot delta =
             replica.sim().metrics().snapshot().delta_since(baseline);
         delta.compact();
@@ -306,7 +298,7 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
     });
   }
   try {
-    outputs[0] = run_scan_shard(testbed, config, parts[0]);
+    outputs[0] = run_scan_shard(testbed, config, parts[0], result.rows);
   } catch (...) {
     const std::scoped_lock lock{error_mu};
     if (!error) error = std::current_exception();

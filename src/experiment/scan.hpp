@@ -15,10 +15,11 @@
 //
 // Sharding: name i belongs to vantage point (i mod vp_count) — a pure
 // identity assignment, independent of how VP groups are packed onto
-// shards. Each shard resolves only the names its VPs own and tags every
-// row with the global name index, so the merged, index-ordered row list
-// (and its serialized JSONL) is byte-identical for every shard count,
-// exactly like campaign metrics.
+// shards. Each shard resolves only the names its VPs own and writes every
+// row once, in place, at its global name index in ScanResult::rows (sized
+// before the run), so the index-ordered row list (and its serialized
+// JSONL) is byte-identical for every shard count, exactly like campaign
+// metrics, with no merge step.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +58,10 @@ struct ScanConfig {
   /// a freshly built testbed.
   std::size_t shards = 1;
   /// Collect per-query rows (ScanResult::rows). Off for throughput
-  /// benches: 10M ScanRows would cost ~1 GB; counters and timing are
-  /// enough there.
+  /// benches: the row vector is sized to the whole name list before the
+  /// run (120 B a row) and each row adds its qname and answer strings on
+  /// completion, about 0.2 KB a name in all, so 10M rows would take
+  /// ~2 GB; counters and timing are enough there.
   bool collect_rows = true;
   /// When non-null, filled with the run's timing breakdown.
   ScanRunStats* run_stats = nullptr;

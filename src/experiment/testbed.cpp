@@ -121,6 +121,16 @@ void Testbed::arm_defenses() {
   }
 }
 
+void Testbed::retain_query_log_entries(bool retain) {
+  for (auto* group : {&roots_, &nl_, &test_, &attacker_}) {
+    for (auto& svc : *group) {
+      for (auto& site : svc.sites()) {
+        site.server->log().set_retain_entries(retain);
+      }
+    }
+  }
+}
+
 int Testbed::test_index_of(const std::string& code) const {
   for (std::size_t i = 0; i < test_.size(); ++i) {
     if (test_[i].name() == code) return static_cast<int>(i);

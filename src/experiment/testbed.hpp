@@ -92,6 +92,11 @@ class Testbed {
     return world_->test_domain;
   }
 
+  /// Turns query-log entry retention on or off at every authoritative
+  /// server (root, .nl, test and attacker services). Totals and
+  /// per-client counts are kept either way; see QueryLog.
+  void retain_query_log_entries(bool retain);
+
   /// Index of the test service whose TXT payload is `code`; -1 if unknown.
   [[nodiscard]] int test_index_of(const std::string& code) const;
 

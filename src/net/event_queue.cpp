@@ -1,7 +1,6 @@
 #include "net/event_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace recwild::net {
@@ -27,89 +26,90 @@ EventId EventQueue::push(SimTime at, EventFn fn) {
 }
 
 EventId EventQueue::push_reserved(SimTime at, std::uint64_t seq,
-                                  EventFn fn) {
+                                  EventFn event) {
   assert(seq < next_seq_);
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
-    free_head_ = slots_[slot].next_free;
+    free_head_ = slots_[slot].link;
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
+    if (slot % kChunkSlots == 0) {
+      chunks_.push_back(std::make_unique<EventFn[]>(kChunkSlots));
+    }
     slots_.emplace_back();
   }
-  Slot& s = slots_[slot];
-  ++s.gen;  // even -> odd: live
-  s.fn = std::move(fn);
+  const std::uint32_t gen = ++slots_[slot].gen;  // even -> odd: live
+  fn(slot) = std::move(event);
 
-  heap_.push_back(Entry{at, seq, slot, s.gen});
-  sift_up(heap_.size() - 1);
-  ++live_;
-  return make_id(slot, s.gen);
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{at, seq, slot});
+  return make_id(slot, gen);
 }
 
 void EventQueue::cancel(EventId id) {
   const std::uint32_t slot = id_slot(id);
   if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
+  const Slot& s = slots_[slot];
   if (s.gen != id_gen(id) || (s.gen & 1u) == 0) return;  // fired or stale
-  ++s.gen;  // odd -> even: retired; the heap entry is now stale
-  s.fn = nullptr;
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_;
-}
-
-void EventQueue::drop_stale_head() {
-  while (!heap_.empty() && !live(heap_.front())) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
-}
-
-SimTime EventQueue::next_time() {
-  drop_stale_head();
-  assert(!heap_.empty());
-  return heap_.front().at;
+  erase_at(s.link);
+  fn(slot) = nullptr;
+  retire(slot);
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_stale_head();
   assert(!heap_.empty());
   const Entry head = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-
-  Slot& s = slots_[head.slot];
-  Fired fired{head.at, std::move(s.fn)};
-  ++s.gen;  // odd -> even: fired
-  s.fn = nullptr;
-  s.next_free = free_head_;
-  free_head_ = head.slot;
-  --live_;
+  erase_at(0);
+  Fired fired{head.at, std::move(fn(head.slot))};
+  retire(head.slot);
   return fired;
+}
+
+std::size_t EventQueue::bytes() const noexcept {
+  return heap_.capacity() * sizeof(Entry) +
+         slots_.capacity() * sizeof(Slot) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
+         chunks_.size() * kChunkSlots * sizeof(EventFn);
+}
+
+void EventQueue::erase_at(std::size_t i) noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // it was the last entry
+  // The last entry fills the hole; it may belong above or below it.
+  if (i > 0 && last.before(heap_[(i - 1) / 4])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+void EventQueue::retire(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  ++s.gen;  // odd -> even: fired or cancelled
+  s.link = free_head_;
+  free_head_ = slot;
 }
 
 // 4-ary heap: half the depth of a binary heap and the four children sit in
 // one cache line of Entries, so sift_down touches far less memory per pop.
-// Pop ORDER is unchanged — (time, seq) is a strict total order (seq is
-// unique), and any heap shape surfaces that order's minimum first.
+// Pop ORDER does not depend on the heap's shape — (time, seq) is a strict
+// total order (seq is unique), and any heap surfaces its minimum first —
+// so removing cancelled entries early cannot change it either.
 
-void EventQueue::sift_up(std::size_t i) {
-  Entry e = heap_[i];
+void EventQueue::sift_up(std::size_t i, const Entry& e) noexcept {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!e.before(heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i, const Entry& e) noexcept {
   const std::size_t n = heap_.size();
-  Entry e = heap_[i];
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -119,10 +119,10 @@ void EventQueue::sift_down(std::size_t i) {
       if (heap_[c].before(heap_[best])) best = c;
     }
     if (!heap_[best].before(e)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
 }  // namespace recwild::net

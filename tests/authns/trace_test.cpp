@@ -13,12 +13,10 @@ QueryLog sample_log() {
   QueryLog log;
   log.record({net::SimTime::from_micros(1'000),
               net::IpAddress::from_octets(10, 0, 0, 1),
-              dns::Name::parse("a.example.nl"), dns::RRType::TXT,
-              dns::Rcode::NoError});
+              dns::Name::parse("a.example.nl"), dns::RRType::TXT});
   log.record({net::SimTime::from_micros(2'500),
               net::IpAddress::from_octets(10, 0, 0, 2),
-              dns::Name::parse("b.example.nl"), dns::RRType::A,
-              dns::Rcode::NxDomain});
+              dns::Name::parse("b.example.nl"), dns::RRType::A});
   return log;
 }
 
@@ -33,7 +31,17 @@ TEST(Trace, WriteReadRoundTrip) {
   EXPECT_EQ(records[0].server, "fra-site-1");
   EXPECT_EQ(records[0].qname, dns::Name::parse("a.example.nl"));
   EXPECT_EQ(records[0].qtype, dns::RRType::TXT);
-  EXPECT_EQ(records[1].rcode, dns::Rcode::NxDomain);
+  EXPECT_EQ(records[1].qname, dns::Name::parse("b.example.nl"));
+  EXPECT_EQ(records[1].qtype, dns::RRType::A);
+  // A query log records queries, so its traces carry NOERROR.
+  EXPECT_EQ(records[1].rcode, dns::Rcode::NoError);
+}
+
+TEST(Trace, ReadsTheRcodeColumn) {
+  std::istringstream in{"42\t10.0.0.1\tsrv\tx.nl.\tA\tNXDOMAIN\n"};
+  const auto records = read_trace(in);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].rcode, dns::Rcode::NxDomain);
 }
 
 TEST(Trace, SkipsCommentsAndBlankLines) {

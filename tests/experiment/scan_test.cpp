@@ -117,6 +117,18 @@ TEST(Scan, MetricsMergeAcrossShards) {
   EXPECT_EQ(two.completed, 400u);
 }
 
+TEST(Scan, NoRowsWhenNotCollecting) {
+  Testbed tb{scan_world_config()};
+  ScanConfig sc;
+  sc.names = 300;
+  sc.collect_rows = false;
+  const auto result = run_scan(tb, sc);
+  EXPECT_TRUE(result.rows.empty());
+  EXPECT_EQ(result.rows.capacity(), 0u);
+  EXPECT_EQ(result.issued, 300u);
+  EXPECT_EQ(result.completed, 300u);
+}
+
 TEST(Scan, ExplicitNameListOverridesGenerator) {
   Testbed tb{scan_world_config()};
   ScanConfig sc;

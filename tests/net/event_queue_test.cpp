@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace recwild::net {
@@ -359,6 +361,129 @@ TEST(EventQueue, ReservedChainsPopExactlyLikeEagerPushes) {
     total_pops += got.size();
   }
   EXPECT_GT(total_pops, 10'000u);
+}
+
+// Differential property test against a reference ordered set of (time,
+// seq) keys. Random pushes, push_reserved() under numbers from reserved
+// blocks, pops and cancels run on both; cancels pick any handle ever
+// issued, so they hit live events, fired ones, cancelled ones and handles
+// whose slot has since been reused. Every pop must surface the
+// reference's minimum, and size() and next_time() must agree throughout.
+TEST(EventQueue, MatchesReferenceOrderedSet) {
+  struct Handle {
+    EventId id;
+    SimTime at;
+    std::uint64_t seq;
+  };
+  std::uint64_t ops = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937_64 gen{seed};
+    const auto pick = [&gen](std::uint64_t n) { return gen() % n; };
+    EventQueue q;
+    std::set<std::pair<SimTime, std::uint64_t>> ref;
+    std::vector<Handle> handles;
+    std::vector<std::uint64_t> reserved;  // unused reserved numbers
+    std::uint64_t next_seq = 0;
+    std::uint64_t fired_seq = 0;
+    SimTime now = SimTime::origin();
+    const auto schedule = [&](std::uint64_t seq, bool eager) {
+      const SimTime at = now + Duration::millis(double(pick(6)));
+      auto fn = [&fired_seq, seq] { fired_seq = seq; };
+      const EventId id = eager ? q.push(at, fn) : q.push_reserved(at, seq, fn);
+      handles.push_back({id, at, seq});
+      ref.emplace(at, seq);
+    };
+    for (int step = 0; step < 400; ++step, ++ops) {
+      const std::uint64_t op = pick(10);
+      if (op < 3) {
+        schedule(next_seq++, true);
+      } else if (op == 3) {
+        const std::uint64_t n = 1 + pick(4);
+        const std::uint64_t first = q.reserve(n);
+        ASSERT_EQ(first, next_seq);
+        for (std::uint64_t k = 0; k < n; ++k) reserved.push_back(first + k);
+        next_seq += n;
+      } else if (op == 4 && !reserved.empty()) {
+        const std::size_t r = pick(reserved.size());
+        const std::uint64_t seq = reserved[r];
+        reserved.erase(reserved.begin() + std::ptrdiff_t(r));
+        schedule(seq, false);
+      } else if (op < 8 && !handles.empty()) {
+        // Half the cancels aim at the newest handles, whose slots were
+        // most recently fired, cancelled or reused.
+        const std::size_t n = handles.size();
+        const Handle& h = handles[pick(2) == 0 ? n - 1 - pick(std::min<std::size_t>(n, 4))
+                                               : pick(n)];
+        q.cancel(h.id);
+        ref.erase({h.at, h.seq});
+      } else if (!ref.empty()) {
+        ASSERT_EQ(std::as_const(q).next_time(), ref.begin()->first);
+        auto fired = q.pop();
+        fired.fn();
+        ASSERT_EQ(fired.at, ref.begin()->first) << "seed " << seed;
+        ASSERT_EQ(fired_seq, ref.begin()->second) << "seed " << seed;
+        now = fired.at;
+        ref.erase(ref.begin());
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << ", step " << step;
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+    while (!ref.empty()) {
+      auto fired = q.pop();
+      fired.fn();
+      ASSERT_EQ(fired.at, ref.begin()->first);
+      ASSERT_EQ(fired_seq, ref.begin()->second);
+      ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_GT(ops, 50'000u);
+}
+
+TEST(EventQueue, HeapHoldsOnlyLiveEventsAfterHeavyCancellation) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 4096; ++i) {
+    ids.push_back(q.push(at_ms(i % 50), [] {}));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 64 != 0) q.cancel(ids[i]);
+  }
+  EXPECT_EQ(q.size(), 64u);  // size() is the heap's entry count
+  const std::size_t bytes = q.bytes();
+  // Churn through 100k short-lived events at the front of the queue. Were
+  // cancelled entries left in the heap until their time came, it would
+  // grow by one entry per event; removed at once, nothing grows.
+  for (int i = 0; i < 100'000; ++i) q.cancel(q.push(at_ms(0), [] {}));
+  EXPECT_EQ(q.size(), 64u);
+  EXPECT_EQ(q.bytes(), bytes);
+  EXPECT_EQ(std::as_const(q).next_time(), at_ms(0));
+  std::size_t pops = 0;
+  SimTime prev = SimTime::origin();
+  while (!q.empty()) {
+    const auto fired = q.pop();
+    EXPECT_GE(fired.at, prev);
+    prev = fired.at;
+    ++pops;
+  }
+  EXPECT_EQ(pops, 64u);
+}
+
+TEST(EventQueue, SlabGrowsByFixedChunks) {
+  EventQueue q;
+  const std::size_t empty = q.bytes();
+  std::vector<EventId> ids;
+  for (std::uint32_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i) {
+    ids.push_back(q.push(at_ms(1), [] {}));
+  }
+  const std::size_t three = q.bytes();
+  EXPECT_GE(three - empty, 3 * EventQueue::kChunkSlots * sizeof(EventFn));
+  // Cancelled slots are reused before a new chunk is added.
+  for (const EventId id : ids) q.cancel(id);
+  for (std::uint32_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i) {
+    q.push(at_ms(2), [] {});
+  }
+  EXPECT_EQ(q.bytes(), three);
 }
 
 TEST(EventQueue, ManyEventsStressOrder) {
