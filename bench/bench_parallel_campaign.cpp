@@ -4,9 +4,10 @@
 // then runs the paper's 1-hour campaign once per shard count on replicas
 // materialized from that shared world. Reports per-phase wall-clock
 // (world build / materialize / partition / shard run / merge), per-shard
-// VP counts and resident-set samples, and cross-checks that every shard
-// count exports byte-identical results (the engine's determinism
-// guarantee).
+// VP counts and walls, and the process's peak resident set after each run
+// (VmHWM, monotone over the process: a run's figure includes every earlier
+// run's peak), and cross-checks that every shard count exports
+// byte-identical results (the engine's determinism guarantee).
 //
 //   ./build/bench/bench_parallel_campaign --probes 10000 --seed 42
 //   ./build/bench/bench_parallel_campaign --shards 1,2,4,8 --queries 31
@@ -56,7 +57,7 @@ struct RunRecord {
   std::size_t shards = 0;
   double wall_s = 0.0;         // run_campaign() alone (comparable to baseline)
   double materialize_s = 0.0;  // Testbed replica construction from the world
-  CampaignRunStats stats;
+  RunStats stats;
   bool byte_identical = true;
 };
 
@@ -106,8 +107,8 @@ int main(int argc, char** argv) {
         100.0 * double(largest) / double(opt.probes));
   }
 
-  std::printf("\n%8s %12s %9s %10s %11s %s\n", "shards", "wall-clock",
-              "speedup", "merge", "max-rss/sh", "result");
+  std::printf("\n%8s %12s %9s %10s %10s %s\n", "shards", "wall-clock",
+              "speedup", "merge", "peak-rss", "result");
   double serial_s = 0.0;
   std::string reference;
   std::vector<RunRecord> runs;
@@ -140,11 +141,9 @@ int main(int argc, char** argv) {
       verdict = bytes == reference ? "byte-identical" : "MISMATCH vs shards=1";
     }
     rec.byte_identical = bytes == reference;
-    std::size_t max_rss = 0;
-    for (const auto& s : rec.stats.shards) max_rss = std::max(max_rss, s.rss_kb);
-    std::printf("%8zu %10.2fs %8.2fx %9.3fs %9zuMB %s\n", shards, rec.wall_s,
+    std::printf("%8zu %10.2fs %8.2fx %9.3fs %8zuMB %s\n", shards, rec.wall_s,
                 serial_s > 0 ? serial_s / rec.wall_s : 1.0, rec.stats.merge_s,
-                max_rss / 1024, verdict);
+                rec.stats.peak_rss_kb / 1024, verdict);
     runs.push_back(std::move(rec));
     if (shards == shard_counts.front()) {
       benchutil::export_obs(opt, result.metrics);
@@ -191,14 +190,15 @@ int main(int argc, char** argv) {
       }
       std::fprintf(f,
                    "\"materialize_s\": %.2f, \"partition_s\": %.3f, "
-                   "\"run_s\": %.2f, \"merge_s\": %.3f,\n"
+                   "\"run_s\": %.2f, \"merge_s\": %.3f, "
+                   "\"peak_rss_kb\": %zu,\n"
                    "     \"shard_detail\": [",
                    r.materialize_s, r.stats.partition_s, r.stats.run_s,
-                   r.stats.merge_s);
+                   r.stats.merge_s, r.stats.peak_rss_kb);
       for (std::size_t j = 0; j < r.stats.shards.size(); ++j) {
         const auto& s = r.stats.shards[j];
-        std::fprintf(f, "%s{\"vps\": %zu, \"wall_s\": %.2f, \"rss_kb\": %zu}",
-                     j > 0 ? ", " : "", s.vps, s.wall_s, s.rss_kb);
+        std::fprintf(f, "%s{\"vps\": %zu, \"wall_s\": %.2f}",
+                     j > 0 ? ", " : "", s.items, s.wall_s);
       }
       std::fprintf(f, "],\n     \"byte_identical\": %s}%s\n",
                    r.byte_identical ? "true" : "false",

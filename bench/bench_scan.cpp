@@ -39,7 +39,7 @@ double secs_between(std::chrono::steady_clock::time_point a,
 
 struct ScanRun {
   ScanResult result;
-  ScanRunStats stats;
+  RunStats stats;
   double wall_s = 0.0;
 };
 

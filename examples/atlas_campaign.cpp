@@ -11,8 +11,8 @@
 // `--dump-auth-queries` writes every query the authoritative sites logged
 // as "qname qtype" lines — the input format tools/loadgen replays against
 // a live authnsd, so the real-socket bench serves the exact query mix a
-// simulated campaign produced. Use shards=1 with it: sharded runs log
-// queries in the replica worlds, not in this one.
+// simulated campaign produced. It needs shards=1 and is refused otherwise:
+// sharded runs log most queries in replica worlds, which keep no entries.
 //
 // `shards` spreads the campaign over worker threads (0 = one per hardware
 // thread); the result is byte-identical for every value. `--obs` exports
@@ -59,6 +59,13 @@ int main(int argc, char** argv) {
   const std::size_t shards =
       positional[2] != nullptr ? std::strtoull(positional[2], nullptr, 10)
                                : 1;
+  if (!dump_queries_path.empty() && shards != 1) {
+    std::fprintf(stderr,
+                 "atlas_campaign: --dump-auth-queries needs shards=1 "
+                 "(got %zu): sharded runs log queries in replica worlds\n",
+                 shards);
+    return 2;
+  }
 
   TestbedConfig cfg;
   cfg.seed = 1;
@@ -145,10 +152,6 @@ int main(int argc, char** argv) {
     }
     std::printf("auth query log (%zu queries) -> %s\n", dumped,
                 dump_queries_path.c_str());
-    if (dumped == 0) {
-      std::printf("  (empty: sharded runs log in replica worlds; "
-                  "rerun with shards=1)\n");
-    }
   }
   return 0;
 }

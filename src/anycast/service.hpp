@@ -71,20 +71,6 @@ class AnycastService {
   void start();
   void stop();
 
-  /// Fails a single site (queries to its catchment then time out), or the
-  /// whole service.
-  ///
-  /// DEPRECATED as a failure model: this is the legacy ad-hoc path — the
-  /// site's server swallows queries forever but never leaves the catchment,
-  /// so clients keep timing out into it. Scheduled failures should use the
-  /// fault-schedule path instead (FaultKind::SiteWithdraw / SiteFlap via
-  /// fault::FaultInjector::bind_service, or drain() for maintenance), which
-  /// models BGP withdrawal: bounded convergence loss, then transparent
-  /// failover to the next-best site. Kept for tests and callers that want
-  /// a silent blackholed site specifically.
-  void set_site_down(std::size_t site_index, bool down);
-  void set_all_down(bool down);
-
   /// Schedules a graceful drain of a site over [start, end): peers are told
   /// before the window opens, so from `start` new queries steer to each
   /// client's next-best site with no convergence loss while in-flight

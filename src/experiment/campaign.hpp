@@ -4,39 +4,20 @@
 // which authoritative answered. Client-side observations are collected per
 // VP, exactly as the paper collects per-probe results from Atlas.
 //
-// The campaign can run sharded: vantage points are partitioned into groups
-// that share no recursive resolver, groups are packed onto `shards` worker
-// threads, and each worker replays its share of the schedule on a private
-// replica of the testbed. Because every random stream in the simulation is
-// keyed by identity (per VP, per resolver, per network flow) rather than by
-// draw order, a VP's observations do not depend on which other VPs run
-// beside it — so the merged result is byte-identical for every shard count,
-// including the single-threaded shards=1 run.
+// The campaign can run sharded (run_sharded, sharding.hpp): groups of VPs
+// that share no recursive resolver (WorldSnapshot::vp_groups) are packed
+// onto worker threads. Every random stream is keyed by identity (per VP,
+// per resolver, per network flow), never by draw order, so the merged
+// result is byte-identical for every shard count.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 
 namespace recwild::experiment {
-
-/// Wall-clock and memory accounting of one campaign run, for benchmarks
-/// and capacity planning. All times are host wall seconds (never sim
-/// time); rss_kb is the process RSS sampled as each shard finishes — with
-/// threaded shards this is process-wide, so the per-shard samples bound
-/// the run's footprint rather than attribute it exactly.
-struct CampaignRunStats {
-  struct Shard {
-    std::size_t vps = 0;     ///< Vantage points simulated by this shard.
-    double wall_s = 0.0;     ///< Replica materialize + event-loop wall time.
-    std::size_t rss_kb = 0;  ///< Process RSS when the shard finished.
-  };
-  double partition_s = 0.0;  ///< VP grouping + weighted packing.
-  double run_s = 0.0;        ///< Parallel section (spawn to last join).
-  double merge_s = 0.0;      ///< Observation/metrics/trace fold-back.
-  std::vector<Shard> shards; ///< Per shard, shard 0 = the caller's world.
-};
 
 struct CampaignConfig {
   /// Probing interval (paper: 2 minutes; §4.4 sweeps 5..30).
@@ -52,7 +33,7 @@ struct CampaignConfig {
   /// already ran traffic can only be reproduced by shards = 1).
   std::size_t shards = 1;
   /// When non-null, filled with the run's timing/memory breakdown.
-  CampaignRunStats* run_stats = nullptr;
+  RunStats* run_stats = nullptr;
 };
 
 /// Per-VP campaign observations.
@@ -85,21 +66,5 @@ struct CampaignResult {
 /// Runs the campaign to completion on the testbed's simulation (and, for
 /// config.shards > 1, on replica simulations in worker threads).
 CampaignResult run_campaign(Testbed& testbed, const CampaignConfig& config);
-
-/// The VP partition the sharded engine uses: vantage points that share a
-/// recursive resolver (directly or through a chain of shared upstreams,
-/// forwarders included) always land in the same group, because a shared
-/// recursive's cache and SRTT state couple their observations. Groups are
-/// listed in first-seen VP order; each group lists VP indices ascending.
-/// Precomputed on the world snapshot; exposed for tests and planning.
-std::vector<std::vector<std::size_t>> campaign_vp_groups(Testbed& testbed);
-
-/// Estimated query volume per VP group under `config` — campaign probes
-/// plus the attack-bot traffic of the testbed's schedule (bots are the
-/// lowest-index VPs, so attack-heavy groups weigh more). This is the load
-/// model the shard packer balances on, instead of raw VP counts.
-std::vector<double> campaign_group_weights(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const CampaignConfig& config, const attack::AttackSchedule& schedule);
 
 }  // namespace recwild::experiment

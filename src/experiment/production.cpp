@@ -1,10 +1,7 @@
 #include "experiment/production.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <numeric>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/names.hpp"
@@ -176,9 +173,6 @@ ClientCounts run_production_shard(
                     ? world.roots()
                     : world.nl_services();
 
-  // Aggregates only at the authoritatives: drop per-packet log entries.
-  world.retain_query_log_entries(false);
-
   const net::SimTime end =
       net::SimTime::origin() +
       net::Duration::hours(config.duration_hours);
@@ -200,32 +194,6 @@ ClientCounts run_production_shard(
   return counts;
 }
 
-/// Deterministic LPT packing of source indices onto `shards` bins, weighted
-/// by each source's expected query rate. Empty bins are dropped.
-std::vector<std::vector<std::size_t>> pack_sources(
-    const std::vector<std::unique_ptr<Source>>& sources, std::size_t shards) {
-  std::vector<std::size_t> order(sources.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&sources](std::size_t a,
-                                                   std::size_t b) {
-    if (sources[a]->rate_per_sec != sources[b]->rate_per_sec) {
-      return sources[a]->rate_per_sec > sources[b]->rate_per_sec;
-    }
-    return a < b;
-  });
-  std::vector<std::vector<std::size_t>> bins(shards);
-  std::vector<double> load(shards, 0.0);
-  for (const std::size_t i : order) {
-    const std::size_t lightest = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    load[lightest] += sources[i]->rate_per_sec;
-    bins[lightest].push_back(i);
-  }
-  std::erase_if(bins, [](const auto& b) { return b.empty(); });
-  for (auto& bin : bins) std::sort(bin.begin(), bin.end());
-  return bins;
-}
-
 }  // namespace
 
 double ProductionResult::fraction_at_least(std::size_t n) const {
@@ -237,7 +205,8 @@ double ProductionResult::fraction_at_least(std::size_t n) const {
 }
 
 ProductionResult run_production(Testbed& testbed,
-                                const ProductionConfig& config) {
+                                const ProductionConfig& config,
+                                RunStats* run_stats) {
   // Observed service group.
   auto& group = config.target == ProductionTarget::Root
                     ? testbed.roots()
@@ -259,84 +228,42 @@ ProductionResult run_production(Testbed& testbed,
   // state — is replayed where.
   std::vector<std::unique_ptr<Source>> sources =
       build_sources(testbed, config);
+  // Aggregates only at the authoritatives: drop per-packet log entries.
+  testbed.retain_query_log_entries(false);
 
-  std::size_t shards =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  shards = std::min(shards, std::max<std::size_t>(1, sources.size()));
-
-  ClientCounts counts(observed.size());
-  if (shards <= 1) {
-    std::vector<std::size_t> all(sources.size());
-    std::iota(all.begin(), all.end(), 0);
-    counts = run_production_shard(testbed, sources, config, all, observed);
-  } else {
-    const auto parts = pack_sources(sources, shards);
-    std::vector<ClientCounts> per_shard(parts.size());
-    // Replica shards share the caller's world snapshot (zones, catalog,
-    // services planned once) and construct live resolvers only for their
-    // own sources. Metric deltas against a post-build baseline stream into
-    // one accumulator, compacted; trace events stay per-shard so they can
-    // be appended in shard order.
-    obs::MetricRegistry accumulator;
-    std::mutex accumulator_mu;
-    std::vector<std::vector<obs::TraceEvent>> shard_events(parts.size());
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::vector<std::thread> workers;
-    workers.reserve(parts.size() - 1);
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      workers.emplace_back([&testbed, &config, &parts, &per_shard,
-                            &accumulator, &accumulator_mu, &shard_events,
-                            &observed, &error, &error_mu, i] {
-        try {
-          Testbed replica{testbed.world()};
-          auto replica_sources =
-              build_sources(replica, config, &parts[i]);
-          replica.sim().sync_obs();  // fold build-time event tallies in
-          const obs::MetricsSnapshot baseline =
-              replica.sim().metrics().snapshot();
-          const std::size_t trace_base = replica.sim().trace().size();
-          per_shard[i] = run_production_shard(replica, replica_sources,
-                                              config, parts[i], observed);
-          obs::MetricsSnapshot delta =
-              replica.sim().metrics().snapshot().delta_since(baseline);
-          delta.compact();
-          {
-            const std::scoped_lock lock{accumulator_mu};
-            accumulator.merge_sum(delta);
-          }
-          const auto& events = replica.sim().trace().events();
-          shard_events[i].assign(events.begin() + trace_base, events.end());
-        } catch (...) {
-          const std::scoped_lock lock{error_mu};
-          if (!error) error = std::current_exception();
+  std::vector<std::size_t> all(sources.size());
+  std::iota(all.begin(), all.end(), 0);
+  // Replica shards are full worlds of the caller's snapshot (zones,
+  // catalog, services planned once) that construct live resolvers only
+  // for their own sources.
+  auto per_shard = run_sharded(
+      testbed, config.shards, all, ReplicaScope::Full, run_stats,
+      [&sources](std::size_t shards) {
+        // Every source is its own group, weighted by its query rate.
+        std::vector<std::vector<std::size_t>> singletons(sources.size());
+        std::vector<double> rates(sources.size());
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          singletons[i] = {i};
+          rates[i] = sources[i]->rate_per_sec;
         }
+        return pack_groups(singletons, rates, shards);
+      },
+      [&config](Testbed& replica, const std::vector<std::size_t>& part) {
+        return build_sources(replica, config, &part);
+      },
+      [&](Testbed& world, const std::vector<std::size_t>& part,
+          std::vector<std::unique_ptr<Source>>* replica_sources) {
+        return run_production_shard(
+            world, replica_sources != nullptr ? *replica_sources : sources,
+            config, part, observed);
       });
-    }
-    try {
-      per_shard[0] =
-          run_production_shard(testbed, sources, config, parts[0], observed);
-    } catch (...) {
-      const std::scoped_lock lock{error_mu};
-      if (!error) error = std::current_exception();
-    }
-    for (auto& w : workers) w.join();
-    if (error) std::rethrow_exception(error);
 
-    // The hour's server-side logs are disjoint per shard: merge by sum.
-    for (const auto& shard_counts : per_shard) {
-      for (std::size_t oi = 0; oi < observed.size(); ++oi) {
-        for (const auto& [client, n] : shard_counts[oi]) {
-          counts[oi][client] += n;
-        }
-      }
-    }
-    testbed.sim().metrics().merge_sum(accumulator.snapshot());
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      for (const auto& event : shard_events[i]) {
-        testbed.sim().trace().record(event);
+  // The hour's server-side logs are disjoint per shard: merge by sum.
+  ClientCounts counts = std::move(per_shard[0]);
+  for (std::size_t i = 1; i < per_shard.size(); ++i) {
+    for (std::size_t oi = 0; oi < observed.size(); ++oi) {
+      for (const auto& [client, n] : per_shard[i][oi]) {
+        counts[oi][client] += n;
       }
     }
   }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 #include "stats/summary.hpp"
 
@@ -63,12 +64,10 @@ struct ProductionConfig {
   double weight_na = 0.31;
   double weight_oc = 0.05;
   double weight_sa = 0.07;
-  /// Worker threads. 1 = serial on the caller's testbed; 0 = one per
-  /// hardware thread. Sources are independent recursives with per-source
-  /// random streams, so the merged server-side logs — and everything the
-  /// analysis derives from them — are identical for every shard count
-  /// (the testbed must be freshly built for shards > 1, which replays on
-  /// replicas built from Testbed::config()).
+  /// Worker threads, campaign semantics. Sources are independent
+  /// recursives with per-source random streams, so the merged server-side
+  /// logs, and all the analysis derives from them, are identical for
+  /// every shard count on a freshly built testbed.
   std::size_t shards = 1;
 };
 
@@ -108,8 +107,11 @@ struct ProductionResult {
 /// For Root, the observed services are the 10 letters of DITL-2017
 /// (B, G and L were missing from the dataset); for Nl, 4 of the 8 services
 /// (the paper captures 4 .nl authoritatives).
+/// When `run_stats` is non-null it is filled with the run's timing/memory
+/// breakdown; its shards count sources.
 ProductionResult run_production(Testbed& testbed,
-                                const ProductionConfig& config);
+                                const ProductionConfig& config,
+                                RunStats* run_stats = nullptr);
 
 /// §7 deployment-latency experiment: per-continent query-weighted RTT from
 /// qualifying recursives to the .nl service that actually answered them

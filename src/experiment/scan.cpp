@@ -1,28 +1,17 @@
 #include "experiment/scan.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "experiment/sharding.hpp"
 #include "obs/names.hpp"
 
 namespace recwild::experiment {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double wall_seconds(WallClock::duration d) {
-  return std::chrono::duration<double>(d).count();
-}
 
 /// The name scanned at global index `i`: generated cache-busting label
 /// under the test domain, or the explicit list entry.
@@ -186,7 +175,6 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
 }  // namespace
 
 ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
-  const auto& vps = testbed.population().vps();
   const std::size_t vp_count = testbed.world()->population.vp_count();
   if (vp_count == 0) {
     throw std::invalid_argument{"run_scan: testbed has no population"};
@@ -197,123 +185,54 @@ ScanResult run_scan(Testbed& testbed, const ScanConfig& config) {
   }
   const std::uint64_t total = total_names(config);
 
-  ScanRunStats local_stats;
-  ScanRunStats& stats =
-      config.run_stats != nullptr ? *config.run_stats : local_stats;
-  stats = ScanRunStats{};
-
   ScanResult result;
   // Sized once, before any shard runs; shards fill it in place.
   if (config.collect_rows) result.rows.resize(static_cast<std::size_t>(total));
 
-  std::size_t shards =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  shards = std::min(shards, std::max<std::size_t>(1, vps.size()));
-
-  auto finalize = [&](std::vector<ShardOutput> outputs, double run_wall_s) {
-    const auto t_merge = WallClock::now();
-    net::SimTime last = net::SimTime::origin();
-    for (ShardOutput& o : outputs) {
-      result.issued += o.issued;
-      result.completed += o.completed;
-      if (last < o.last_completion) last = o.last_completion;
-    }
-    result.wall_s = run_wall_s;
-    result.queries_per_s =
-        run_wall_s > 0.0 ? static_cast<double>(result.completed) / run_wall_s
-                         : 0.0;
-    const double sim_s = (last - net::SimTime::origin()).ms() / 1000.0;
-    result.sim_end_s = sim_s;
-    result.sim_queries_per_s =
-        sim_s > 0.0 ? static_cast<double>(result.completed) / sim_s : 0.0;
-    // Host-wall throughput as a gauge on the caller's world: point-in-time
-    // level of ONE run, excluded from merge-safe exports by construction.
-    testbed.metrics()
-        .gauge(obs::names::kScanQps)
-        .set(result.queries_per_s, testbed.sim().now());
-    result.metrics = testbed.sim().metrics().snapshot();
-    stats.merge_s = wall_seconds(WallClock::now() - t_merge);
-  };
-
-  if (shards <= 1) {
-    std::vector<std::size_t> all;
-    all.reserve(vps.size());
-    for (const auto& vp : vps) all.push_back(vp.probe_id);
-    const auto t0 = WallClock::now();
-    std::vector<ShardOutput> outputs;
-    outputs.push_back(run_scan_shard(testbed, config, all, result.rows));
-    stats.run_s = wall_seconds(WallClock::now() - t0);
-    finalize(std::move(outputs), stats.run_s);
-    return result;
-  }
-
-  const auto t_partition = WallClock::now();
-  const auto& groups = testbed.world()->vp_groups;
-  std::vector<double> weights(groups.size(), 0.0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const std::size_t v : groups[g]) {
-      weights[g] += static_cast<double>(names_owned(total, vp_count, v));
-    }
-  }
-  const auto parts = pack_groups(groups, weights, shards);
-  stats.partition_s = wall_seconds(WallClock::now() - t_partition);
-
-  std::vector<ShardOutput> outputs(parts.size());
-  obs::MetricRegistry accumulator;
-  std::mutex accumulator_mu;
-  std::vector<std::vector<obs::TraceEvent>> shard_events(parts.size());
-  std::exception_ptr error;
-  std::mutex error_mu;
-  const auto t_run = WallClock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(parts.size() - 1);
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    workers.emplace_back([&testbed, &config, &parts, &outputs, &result,
-                          &accumulator, &accumulator_mu, &shard_events,
-                          &error, &error_mu, i] {
-      try {
-        Testbed replica{testbed.world(), &parts[i]};
-        // Nothing reads a replica's query logs before it is destroyed.
-        replica.retain_query_log_entries(false);
-        replica.sim().sync_obs();
-        const obs::MetricsSnapshot baseline =
-            replica.sim().metrics().snapshot();
-        const std::size_t trace_base = replica.sim().trace().size();
-        outputs[i] = run_scan_shard(replica, config, parts[i], result.rows);
-        obs::MetricsSnapshot delta =
-            replica.sim().metrics().snapshot().delta_since(baseline);
-        delta.compact();
-        {
-          const std::scoped_lock lock{accumulator_mu};
-          accumulator.merge_sum(delta);
+  // The scan's throughput needs the run's wall time even when the caller
+  // asked for no stats.
+  RunStats local_stats;
+  RunStats& stats =
+      config.run_stats != nullptr ? *config.run_stats : local_stats;
+  const auto outputs = run_sharded(
+      testbed, config.shards, vp_items(testbed), ReplicaScope::Partition,
+      &stats,
+      [&](std::size_t shards) {
+        const auto& groups = testbed.world()->vp_groups;
+        std::vector<double> weights(groups.size(), 0.0);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          for (const std::size_t v : groups[g]) {
+            weights[g] += static_cast<double>(names_owned(total, vp_count, v));
+          }
         }
-        const auto& events = replica.sim().trace().events();
-        shard_events[i].assign(events.begin() + trace_base, events.end());
-      } catch (...) {
-        const std::scoped_lock lock{error_mu};
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  try {
-    outputs[0] = run_scan_shard(testbed, config, parts[0], result.rows);
-  } catch (...) {
-    const std::scoped_lock lock{error_mu};
-    if (!error) error = std::current_exception();
-  }
-  for (auto& w : workers) w.join();
-  stats.run_s = wall_seconds(WallClock::now() - t_run);
-  if (error) std::rethrow_exception(error);
+        return pack_groups(groups, weights, shards);
+      },
+      no_replica_state,
+      [&](Testbed& world, const std::vector<std::size_t>& part, auto*) {
+        return run_scan_shard(world, config, part, result.rows);
+      });
 
-  testbed.sim().metrics().merge_sum(accumulator.snapshot());
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    for (const auto& event : shard_events[i]) {
-      testbed.sim().trace().record(event);
-    }
+  net::SimTime last = net::SimTime::origin();
+  for (const ShardOutput& o : outputs) {
+    result.issued += o.issued;
+    result.completed += o.completed;
+    if (last < o.last_completion) last = o.last_completion;
   }
-  finalize(std::move(outputs), stats.run_s);
+  result.wall_s = stats.run_s;
+  result.queries_per_s =
+      stats.run_s > 0.0
+          ? static_cast<double>(result.completed) / stats.run_s
+          : 0.0;
+  const double sim_s = (last - net::SimTime::origin()).ms() / 1000.0;
+  result.sim_end_s = sim_s;
+  result.sim_queries_per_s =
+      sim_s > 0.0 ? static_cast<double>(result.completed) / sim_s : 0.0;
+  // Host-wall throughput as a gauge on the caller's world: point-in-time
+  // level of ONE run, excluded from merge-safe exports by construction.
+  testbed.metrics()
+      .gauge(obs::names::kScanQps)
+      .set(result.queries_per_s, testbed.sim().now());
+  result.metrics = testbed.sim().metrics().snapshot();
   return result;
 }
 

@@ -26,17 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "experiment/sharding.hpp"
 #include "experiment/testbed.hpp"
 #include "obs/scan_log.hpp"
 
 namespace recwild::experiment {
-
-/// Wall-clock accounting of one scan run (host seconds, never sim time).
-struct ScanRunStats {
-  double partition_s = 0.0;  ///< VP grouping + weighted packing.
-  double run_s = 0.0;        ///< Parallel section (spawn to last join).
-  double merge_s = 0.0;      ///< Row/metrics/trace fold-back.
-};
 
 struct ScanConfig {
   /// Names to scan in generated mode: s0..s<names-1> under the testbed's
@@ -63,8 +57,8 @@ struct ScanConfig {
   /// completion, about 0.2 KB a name in all, so 10M rows would take
   /// ~2 GB; counters and timing are enough there.
   bool collect_rows = true;
-  /// When non-null, filled with the run's timing breakdown.
-  ScanRunStats* run_stats = nullptr;
+  /// When non-null, filled with the run's timing/memory breakdown.
+  RunStats* run_stats = nullptr;
 };
 
 struct ScanResult {

@@ -23,10 +23,9 @@ std::shared_ptr<const authns::Zone> shared_zone(authns::Zone zone) {
   return std::make_shared<const authns::Zone>(std::move(zone));
 }
 
-/// Union-find partition of the planned VPs into shared-recursive classes.
-/// Identical algorithm (and output order) to the historical
-/// campaign_vp_groups over live objects: forwarders chase to their
-/// upstream, every VP unions all its upstream recursives.
+/// Union-find partition of the planned VPs into shared-recursive classes:
+/// forwarders chase to their upstream, every VP unions all its upstream
+/// recursives.
 std::vector<std::vector<std::size_t>> plan_vp_groups(
     const client::PopulationPlan& plan) {
   std::unordered_map<net::IpAddress, net::IpAddress> via_forwarder;

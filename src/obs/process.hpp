@@ -1,4 +1,4 @@
-// Process self-observation: resident-set sampling for the shard engines
+// Process self-observation: resident-set sampling for run_sharded
 // and benchmarks. Linux-only (/proc/self/status); other platforms report 0
 // so callers can print "unavailable" rather than fail.
 #pragma once
@@ -34,10 +34,8 @@ inline std::size_t read_status_kb(const char* field) {
 
 }  // namespace detail
 
-/// Current resident set size in KiB (0 when unavailable). Sampled by the
-/// shard engines right after a shard's event loop drains, so a run's
-/// per-shard memory growth is attributable even though the peak counter
-/// below is process-wide and monotonic.
+/// Current resident set size in KiB (0 when unavailable). Process-wide:
+/// threads share it, so it cannot attribute memory to one shard.
 inline std::size_t current_rss_kb() { return detail::read_status_kb("VmRSS"); }
 
 /// Process-wide peak resident set size in KiB (0 when unavailable).

@@ -107,7 +107,7 @@ TEST(AnycastService, SiteFailureLeavesCatchmentDark) {
                                     {"FRA", "SYD"});
   svc.add_zone(authns::Zone::from_text(dns::Name::parse("x.nl"), kZoneText));
   svc.start();
-  svc.set_site_down(0, true);  // FRA dark
+  svc.sites()[0].server->set_down(true);  // FRA dark
 
   const net::NodeId client =
       f.net_->add_node("client", net::find_location("AMS")->point);
@@ -121,7 +121,7 @@ TEST(AnycastService, SiteFailureLeavesCatchmentDark) {
   f.sim.run();
   EXPECT_EQ(replies, 0);
   EXPECT_EQ(svc.sites()[0].server->queries_received(), 1u);
-  svc.set_site_down(0, false);
+  svc.sites()[0].server->set_down(false);
 }
 
 TEST(AnycastService, StopUnbindsAllSites) {
@@ -137,17 +137,6 @@ TEST(AnycastService, StopUnbindsAllSites) {
   EXPECT_FALSE(f.net_->send(client, net::Endpoint{},
                             net::Endpoint{svc.address(), net::kDnsPort},
                             {}));
-}
-
-TEST(AnycastService, SetAllDown) {
-  Fixture f;
-  auto svc = AnycastService::create(*f.net_, "root",
-                                    f.net_->allocate_address(),
-                                    {"FRA", "SYD"});
-  svc.set_all_down(true);
-  for (const auto& site : svc.sites()) {
-    EXPECT_TRUE(site.server->is_down());
-  }
 }
 
 }  // namespace

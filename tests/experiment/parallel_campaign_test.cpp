@@ -88,13 +88,13 @@ TEST(ParallelCampaign, RunStatsAccountForEveryVp) {
   CampaignConfig cc;
   cc.queries_per_vp = 3;
   cc.shards = 4;
-  CampaignRunStats stats;
+  RunStats stats;
   cc.run_stats = &stats;
   const auto result = run_campaign(tb, cc);
   ASSERT_FALSE(stats.shards.empty());
   std::size_t vps = 0;
   for (const auto& s : stats.shards) {
-    vps += s.vps;
+    vps += s.items;
     EXPECT_GE(s.wall_s, 0.0);
   }
   EXPECT_EQ(vps, result.vps.size());
@@ -109,7 +109,7 @@ TEST(ParallelCampaign, MoreShardsThanGroupsStillWorks) {
 
 TEST(ParallelCampaign, GroupsPartitionAllVpsAndShareNoRecursive) {
   Testbed tb{small_config()};
-  const auto groups = campaign_vp_groups(tb);
+  const auto& groups = tb.world()->vp_groups;
   const auto& vps = tb.population().vps();
   std::vector<bool> seen(vps.size(), false);
   std::map<net::IpAddress, std::size_t> owner;  // recursive -> group
@@ -144,19 +144,26 @@ TEST(ParallelProduction, ShardsDoNotChangeResults) {
     return run_production(tb, pc);
   };
   const auto serial = run(1);
-  const auto sharded = run(3);
-  ASSERT_EQ(serial.service_labels, sharded.service_labels);
-  ASSERT_EQ(serial.sources_total, sharded.sources_total);
-  ASSERT_EQ(serial.recursives.size(), sharded.recursives.size());
-  for (std::size_t i = 0; i < serial.recursives.size(); ++i) {
-    const auto& ra = serial.recursives[i];
-    const auto& rb = sharded.recursives[i];
-    EXPECT_EQ(ra.address, rb.address) << "recursive " << i;
-    EXPECT_EQ(ra.total, rb.total) << "recursive " << i;
-    EXPECT_EQ(ra.per_service, rb.per_service) << "recursive " << i;
+  const std::string serial_json =
+      serial.metrics.to_json(obs::SnapshotStyle::MergeSafe);
+  for (const std::size_t shards : {2, 4}) {
+    SCOPED_TRACE(shards);
+    const auto sharded = run(shards);
+    ASSERT_EQ(serial.service_labels, sharded.service_labels);
+    ASSERT_EQ(serial.sources_total, sharded.sources_total);
+    ASSERT_EQ(serial.recursives.size(), sharded.recursives.size());
+    for (std::size_t i = 0; i < serial.recursives.size(); ++i) {
+      const auto& ra = serial.recursives[i];
+      const auto& rb = sharded.recursives[i];
+      EXPECT_EQ(ra.address, rb.address) << "recursive " << i;
+      EXPECT_EQ(ra.total, rb.total) << "recursive " << i;
+      EXPECT_EQ(ra.per_service, rb.per_service) << "recursive " << i;
+    }
+    EXPECT_EQ(serial.mean_rank_share, sharded.mean_rank_share);
+    EXPECT_EQ(serial.fraction_querying, sharded.fraction_querying);
+    EXPECT_EQ(serial_json,
+              sharded.metrics.to_json(obs::SnapshotStyle::MergeSafe));
   }
-  EXPECT_EQ(serial.mean_rank_share, sharded.mean_rank_share);
-  EXPECT_EQ(serial.fraction_querying, sharded.fraction_querying);
 }
 
 }  // namespace
