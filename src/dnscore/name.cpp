@@ -153,9 +153,17 @@ std::string_view Name::label(std::size_t i) const {
 }
 
 std::string Name::to_string() const {
-  if (is_root()) return ".";
   std::string out;
   out.reserve(size_ + 1);
+  append_to(out);
+  return out;
+}
+
+void Name::append_to(std::string& out) const {
+  if (is_root()) {
+    out.push_back('.');
+    return;
+  }
   for (const std::string_view l : *this) {
     for (const char c : l) {
       if (c == '.' || c == '\\') out.push_back('\\');
@@ -163,7 +171,6 @@ std::string Name::to_string() const {
     }
     out.push_back('.');
   }
-  return out;
 }
 
 bool Name::equals(const Name& o) const noexcept {

@@ -152,6 +152,9 @@ class Name {
 
   /// Presentation format, always with trailing dot ("example.nl.", ".").
   [[nodiscard]] std::string to_string() const;
+  /// Appends the presentation format to `out` (no allocation once `out`
+  /// has room).
+  void append_to(std::string& out) const;
 
   /// Case-insensitive equality.
   [[nodiscard]] bool equals(const Name& o) const noexcept;

@@ -1,10 +1,10 @@
 #include "experiment/scan.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/names.hpp"
@@ -44,13 +44,115 @@ struct ShardOutput {
   net::SimTime last_completion = net::SimTime::origin();
 };
 
+struct ShardScan;
+
 /// Per-VP pipeline state. Raw pointers into the world are stable for the
 /// run; the struct itself lives in a vector sized before scheduling.
 struct VpScan {
+  ShardScan* scan = nullptr;
   resolver::RecursiveResolver* resolver = nullptr;
   std::size_t vp_index = 0;   ///< probe id (identity, not rank)
   std::uint64_t next = 0;     ///< next owned-name ordinal to issue
   std::uint64_t owned = 0;    ///< total names this VP owns
+};
+
+/// One shard's scan: what every issue and completion needs, held once
+/// so that a completion callback captures only its VP and name ordinal
+/// (16 trivially copyable bytes, which std::function stores without a
+/// heap block). It lives in run_scan_shard's frame: sim.run() returns
+/// only after every callback has run, as with campaign's shard state.
+struct ShardScan {
+  ShardScan(Testbed& w, const ScanConfig& c, std::span<obs::ScanRow> r)
+      : world(w),
+        config(c),
+        domain(w.test_domain()),
+        vp_count(w.world()->population.vp_count()),
+        issued_ctr(&w.sim().metrics().counter(obs::names::kScanNamesIssued)),
+        completed_ctr(
+            &w.sim().metrics().counter(obs::names::kScanNamesCompleted)),
+        rows(r) {}
+
+  Testbed& world;
+  const ScanConfig& config;
+  dns::Name domain;
+  std::uint64_t vp_count;
+  obs::Counter* issued_ctr;
+  obs::Counter* completed_ctr;
+  /// Empty when rows are not collected.
+  std::span<obs::ScanRow> rows;
+  ShardOutput out;
+  std::vector<VpScan> vps;
+  // Reused per row, so filling a row allocates nothing once warm.
+  std::string qname_text;
+  std::vector<std::string> rdata_text;
+  std::vector<std::string_view> answer_text;
+
+  /// Owned-name ordinal k of `st` -> global index: k * vp_count + vp.
+  [[nodiscard]] std::uint64_t index_of(const VpScan& st,
+                                       std::uint64_t k) const noexcept {
+    return k * vp_count + static_cast<std::uint64_t>(st.vp_index);
+  }
+
+  void issue_next(VpScan& st) {
+    if (st.next >= st.owned) return;
+    const std::uint64_t k = st.next++;
+    const std::uint64_t index = index_of(st, k);
+    const dns::Name qname = name_of(config, domain, index);
+    issued_ctr->add(1, world.sim().now());
+    ++out.issued;
+    if (!rows.empty()) {
+      qname_text.clear();
+      qname.append_to(qname_text);
+      rows[static_cast<std::size_t>(index)].set_qname(qname_text);
+    }
+    st.resolver->resolve(
+        dns::Question{qname, config.qtype, dns::RRClass::IN},
+        [stp = &st, k](const resolver::ResolveOutcome& outcome) {
+          stp->scan->complete(*stp, k, outcome);
+        });
+  }
+
+  void complete(VpScan& st, std::uint64_t k,
+                const resolver::ResolveOutcome& outcome) {
+    const net::SimTime now = world.sim().now();
+    completed_ctr->add(1, now);
+    ++out.completed;
+    if (out.last_completion < now) out.last_completion = now;
+    if (!rows.empty()) {
+      const std::uint64_t index = index_of(st, k);
+      fill_row(rows[static_cast<std::size_t>(index)], index, outcome);
+    }
+    issue_next(st);
+  }
+
+  void fill_row(obs::ScanRow& row, std::uint64_t index,
+                const resolver::ResolveOutcome& outcome) {
+    row.index = index;
+    row.rcode = dns::to_string(outcome.rcode);
+    // Non-TXT answers in presentation form first, so the views below do
+    // not move while rdata_text grows.
+    rdata_text.clear();
+    for (const auto& rr : outcome.answers) {
+      if (rr.type() != dns::RRType::TXT) {
+        rdata_text.push_back(dns::rdata_to_string(rr.rdata));
+      }
+    }
+    answer_text.clear();
+    std::size_t next_rdata = 0;
+    for (const auto& rr : outcome.answers) {
+      if (rr.type() == dns::RRType::TXT) {
+        const auto& txt = std::get<dns::TxtRdata>(rr.rdata);
+        answer_text.insert(answer_text.end(), txt.begin(), txt.end());
+      } else {
+        answer_text.emplace_back(rdata_text[next_rdata++]);
+      }
+    }
+    row.set_answers(answer_text);
+    row.chain = static_cast<std::uint32_t>(outcome.answers.size());
+    row.sim_ms = outcome.elapsed.ms();
+    row.upstream = static_cast<std::uint32_t>(outcome.upstream_queries);
+    row.cache_hit = outcome.upstream_queries == 0;
+  }
 };
 
 /// Schedules and runs the scan for the VPs in `vp_indices` (ascending) on
@@ -60,28 +162,21 @@ struct VpScan {
 /// only on the seed and the VPs sharing its recursive, never on the
 /// partition.
 ///
-/// Each completed name's row is written once, straight into `rows[index]`
-/// (`rows` is empty when rows are not collected). Every index belongs to
-/// exactly one VP, so concurrent shards write disjoint elements of the
-/// caller's vector and no merge is needed. A streaming sink would take the
-/// place of `rows` here.
+/// Each name's row is written straight into `rows[index]` (`rows` is
+/// empty when rows are not collected): its qname when the name is
+/// issued, the rest when it completes. Every index belongs to exactly one
+/// VP, so concurrent shards write disjoint elements of the caller's
+/// vector and no merge is needed. A streaming sink would take the place
+/// of `rows` here.
 ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
                            const std::vector<std::size_t>& vp_indices,
                            std::span<obs::ScanRow> rows) {
   auto& sim = world.sim();
   auto& pop = world.population();
-  const std::size_t vp_count = world.world()->population.vp_count();
   const std::uint64_t total = total_names(config);
-  const dns::Name domain = world.test_domain();
+  ShardScan scan{world, config, rows};
 
-  obs::MetricRegistry& m = sim.metrics();
-  obs::Counter* issued_ctr = &m.counter(obs::names::kScanNamesIssued);
-  obs::Counter* completed_ctr = &m.counter(obs::names::kScanNamesCompleted);
-
-  auto out = std::make_shared<ShardOutput>();
-
-  auto states = std::make_shared<std::vector<VpScan>>();
-  states->reserve(vp_indices.size());
+  scan.vps.reserve(vp_indices.size());
   for (const std::size_t v : vp_indices) {
     client::VantagePoint* vp = pop.by_probe(v);
     if (vp == nullptr) {
@@ -93,83 +188,34 @@ ShardOutput run_scan_shard(Testbed& world, const ScanConfig& config,
         pop.recursive_by_address(vp->stub->recursives().front());
     if (info == nullptr || info->resolver == nullptr) continue;
     VpScan st;
+    st.scan = &scan;
     st.resolver = info->resolver;
     st.vp_index = v;
-    st.owned = names_owned(total, vp_count, v);
-    if (st.owned > 0) states->push_back(st);
+    st.owned = names_owned(total, static_cast<std::size_t>(scan.vp_count), v);
+    if (st.owned > 0) scan.vps.push_back(st);
   }
-
-  // issue_next is recursive through the resolver callback; the
-  // shared_ptr-captured state keeps everything alive until the last
-  // completion even if the caller's frame unwinds first.
-  const std::size_t window = std::max<std::size_t>(1, config.per_vp_window);
-  auto issue_next = std::make_shared<std::function<void(VpScan*)>>();
-  *issue_next = [&world, &config, issued_ctr, completed_ctr, out, domain,
-                 vp_count, rows, issue_next](VpScan* st) {
-    if (st->next >= st->owned) return;
-    // Owned-name ordinal k -> global index: k * vp_count + vp_index.
-    const std::uint64_t index =
-        st->next * static_cast<std::uint64_t>(vp_count) +
-        static_cast<std::uint64_t>(st->vp_index);
-    ++st->next;
-    const dns::Name qname = name_of(config, domain, index);
-    issued_ctr->add(1, world.sim().now());
-    ++out->issued;
-    st->resolver->resolve(
-        dns::Question{qname, config.qtype, dns::RRClass::IN},
-        [&world, completed_ctr, out, st, index, qname, rows,
-         issue_next](const resolver::ResolveOutcome& outcome) {
-          const net::SimTime now = world.sim().now();
-          completed_ctr->add(1, now);
-          ++out->completed;
-          if (out->last_completion < now) out->last_completion = now;
-          if (!rows.empty()) {
-            obs::ScanRow& row = rows[static_cast<std::size_t>(index)];
-            row.index = index;
-            row.qname = qname.to_string();
-            row.rcode = std::string{dns::to_string(outcome.rcode)};
-            for (const auto& rr : outcome.answers) {
-              if (rr.type() == dns::RRType::TXT) {
-                const auto& txt = std::get<dns::TxtRdata>(rr.rdata);
-                row.answers.insert(row.answers.end(), txt.begin(),
-                                   txt.end());
-              } else {
-                row.answers.push_back(dns::rdata_to_string(rr.rdata));
-              }
-            }
-            row.chain = static_cast<std::uint32_t>(outcome.answers.size());
-            row.sim_ms = outcome.elapsed.ms();
-            row.upstream =
-                static_cast<std::uint32_t>(outcome.upstream_queries);
-            row.cache_hit = outcome.upstream_queries == 0;
-          }
-          (*issue_next)(st);
-        });
-  };
 
   // Prime each VP's window at an identity-keyed start phase. The initial
   // issues happen inside one scheduled event per VP; afterwards the
   // pipeline is completion-driven.
+  const std::size_t window = std::max<std::size_t>(1, config.per_vp_window);
   const stats::Rng scan_rng = sim.rng().fork("scan");
-  for (VpScan& st : *states) {
+  for (VpScan& st : scan.vps) {
     const net::Duration phase =
         config.phase_jitter
             ? net::Duration::millis(
                   scan_rng.fork(st.vp_index).uniform(0.0, 1000.0))
             : net::Duration::zero();
     VpScan* stp = &st;
-    sim.at(net::SimTime::origin() + phase, [stp, window, issue_next] {
+    sim.at(net::SimTime::origin() + phase, [stp, window] {
       for (std::size_t k = 0; k < window && stp->next < stp->owned; ++k) {
-        (*issue_next)(stp);
+        stp->scan->issue_next(*stp);
       }
     });
   }
 
   sim.run();
-  // issue_next captures itself; clear it so the cycle does not leak the
-  // shard's state.
-  *issue_next = nullptr;
-  return std::move(*out);
+  return scan.out;
 }
 
 }  // namespace

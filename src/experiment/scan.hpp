@@ -53,9 +53,9 @@ struct ScanConfig {
   std::size_t shards = 1;
   /// Collect per-query rows (ScanResult::rows). Off for throughput
   /// benches: the row vector is sized to the whole name list before the
-  /// run (120 B a row) and each row adds its qname and answer strings on
-  /// completion, about 0.2 KB a name in all, so 10M rows would take
-  /// ~2 GB; counters and timing are enough there.
+  /// run, 80 B a row with its qname and answers inline (a heap block
+  /// more only when their text passes 36 bytes), so 10M rows take
+  /// ~0.8 GB; counters and timing are enough there.
   bool collect_rows = true;
   /// When non-null, filled with the run's timing/memory breakdown.
   RunStats* run_stats = nullptr;

@@ -281,7 +281,7 @@ bool Network::send(NodeId from_node, Endpoint src, Endpoint dst,
   const NodeInfo& b = node(binding->node);
   const Duration delay =
       fault_delay + latency_.one_way(a.id, a.point, b.id, b.point, frng);
-  Datagram dgram{src, dst, sim_.now(), std::move(payload)};
+  Datagram dgram{src, dst, sim_.now(), std::move(payload).fit()};
   // Pin the handler: the binding may be replaced/unbound before delivery.
   // A shared_ptr bump, not a std::function copy — no allocation per packet.
   std::shared_ptr<const DatagramHandler> handler = binding->handler;
@@ -343,7 +343,7 @@ bool Network::send_stream(NodeId from_node, Endpoint src, Endpoint dst,
   for (int leg = 0; leg < 3; ++leg) {
     delay += latency_.one_way(a.id, a.point, b.id, b.point, frng);
   }
-  Datagram dgram{src, dst, sim_.now(), std::move(payload), true};
+  Datagram dgram{src, dst, sim_.now(), std::move(payload).fit(), true};
   std::shared_ptr<const DatagramHandler> handler = binding->handler;
   const NodeId at_node = binding->node;
   sim_.after(delay, [handler = std::move(handler), dgram = std::move(dgram),

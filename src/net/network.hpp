@@ -75,9 +75,9 @@ struct NodeCatalog {
   }
 };
 
-/// One in-flight packet. Move-only: the payload is a pooled WireBuffer
-/// that travels from the encoder through the network to the receiving
-/// handler without being copied.
+/// One in-flight packet. Move-only: the payload is a pooled WireBuffer in
+/// storage of its size class (WireBuffer::fit), which travels through the
+/// network to the receiving handler without further copies.
 struct Datagram {
   Endpoint src;
   Endpoint dst;

@@ -3,18 +3,22 @@
 // Every simulated packet used to carry a freshly heap-allocated
 // std::vector<uint8_t>; at campaign scale the allocator, not the
 // simulation, dominated the profile. A WireBuffer is a move-only handle
-// around byte storage drawn from a thread-local free list: encoders
-// acquire one, the Datagram carries it through the network, and the
+// around byte storage drawn from thread-local free lists: encoders
+// acquire a scratch buffer, Network::send moves the finished bytes into
+// storage of their size class (WireBuffer::fit) for the flight, and the
 // destructor returns the storage to the pool of whichever thread drops
-// the last reference. Shard workers each own a private pool (thread_local),
-// so no locks and no cross-shard coupling — pool state can never leak into
-// simulation behaviour, which keeps the engines' byte-identity guarantee
-// intact by construction.
+// the last reference. A campaign keeps a handful of packets in flight but
+// a scan keeps tens of thousands, so in-flight storage is sized to the
+// packet, not to the encoder's scratch. Shard workers each own a private
+// pool (thread_local), so no locks and no cross-shard coupling — pool
+// state can never leak into simulation behaviour, which keeps the
+// engines' byte-identity guarantee intact by construction.
 //
-// The pool is capped (buffers kept and per-buffer capacity) so a burst of
-// jumbo AXFR payloads cannot pin memory forever. WireBufferPool::set_enabled
-// exists for benchmarks that want to measure the unpooled (pre-optimization)
-// allocation profile; production code never calls it.
+// The pool is capped (blocks kept per size class, nothing past 64 KiB)
+// so a burst of jumbo AXFR payloads cannot pin memory forever.
+// WireBufferPool::set_enabled exists for benchmarks that want to measure
+// the unpooled (pre-optimization) allocation profile; production code
+// never calls it.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +38,20 @@ class WireBufferPool {
     std::uint64_t releases = 0;  ///< Buffers returned to the free list.
   };
 
-  /// Byte storage for a new buffer: reused from the free list when
-  /// possible, freshly allocated otherwise. Always returned empty.
+  /// Scratch storage for an encoder (512 bytes, room for a typical DNS
+  /// message): reused from the free list when possible, freshly
+  /// allocated otherwise. Always returned empty.
   static std::vector<std::uint8_t> acquire();
-  /// Returns storage to this thread's free list (or frees it when the
-  /// list is full, the capacity is outsized, or pooling is disabled).
+  /// Storage of capacity size_class(size), same discipline.
+  static std::vector<std::uint8_t> acquire(std::size_t size);
+  /// Returns storage to its size class's free list (or frees it when the
+  /// list is full, the capacity is not a class, or pooling is disabled).
   static void release(std::vector<std::uint8_t>&& storage) noexcept;
+
+  /// The capacity a payload of `size` bytes is stored in: the smallest of
+  /// 32, 48, 64, 96, 128, ... 49152, 65536 (powers of two and the steps
+  /// halfway between) that holds it, or `size` itself past 64 KiB.
+  [[nodiscard]] static std::size_t size_class(std::size_t size) noexcept;
 
   /// Scratch uint16 storage for encoder bookkeeping (compression-offset
   /// tables); same pooling discipline as the byte buffers.
@@ -56,7 +68,8 @@ class WireBufferPool {
   /// on shard layout and would break cross-shard snapshot identity).
   [[nodiscard]] static Stats stats() noexcept;
   static void reset_stats() noexcept;
-  /// Drops every pooled buffer on this thread (tests/benchmarks).
+  /// Drops every pooled buffer on this thread, and the free lists' own
+  /// storage (tests/benchmarks).
   static void clear() noexcept;
 };
 
@@ -122,10 +135,24 @@ class WireBuffer {
     return buf_;
   }
 
-  /// Deep copy into fresh pooled storage (retransmit paths).
+  /// Deep copy into fresh pooled storage of its size class.
   [[nodiscard]] WireBuffer clone() const {
-    WireBuffer c = acquire();
+    WireBuffer c{WireBufferPool::acquire(buf_.size())};
     c.buf_.assign(buf_.begin(), buf_.end());
+    return c;
+  }
+
+  /// The same bytes in storage no larger than their size class: this
+  /// buffer when it already fits, else a pooled copy (this buffer's
+  /// storage goes back to the pool). Network::send calls it, so a packet
+  /// in flight holds WireBufferPool::size_class(size()) bytes, not the
+  /// encoder's scratch.
+  [[nodiscard]] WireBuffer fit() && {
+    if (buf_.capacity() <= WireBufferPool::size_class(buf_.size())) {
+      return std::move(*this);
+    }
+    WireBuffer c = clone();
+    *this = WireBuffer{};
     return c;
   }
 

@@ -4,8 +4,8 @@
 /// A DecisionTrace records span-like events at the points where behaviour is
 /// decided — which server a resolver picked, whether a cache answered, when
 /// a retry fired, which packet the loss model ate — in a form that is both
-/// machine-readable (the same tab-separated discipline as authns::read_trace)
-/// and deterministic: events carry SimTime only, and canonical export sorts
+/// machine-readable (tab-separated, one event per line) and
+/// deterministic: events carry SimTime only, and canonical export sorts
 /// by the full event tuple so a merged multi-shard trace serialises to the
 /// exact bytes of the serial run.
 ///
@@ -111,7 +111,7 @@ void write_trace(std::ostream& out, const std::vector<TraceEvent>& events);
 
 /// Parses write_trace's format. Skips blank and `#` lines; throws
 /// std::runtime_error naming the line number on malformed input (wrong
-/// field count, bad integer/kind/value) — same contract as authns::read_trace.
+/// field count, bad integer/kind/value).
 [[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& in);
 
 /// Writes events as a deterministic JSON array (objects with at_us, kind,

@@ -3,13 +3,43 @@
 #include <cctype>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
-#include <string_view>
+#include <string>
 
 namespace recwild::obs {
 
 namespace {
+
+/// LEB128: seven bits a byte, low bits first, high bit set on all but the
+/// last byte.
+std::size_t varint_size(std::size_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+char* put_varint(char* out, std::size_t v) noexcept {
+  while (v >= 0x80) {
+    *out++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
+const char* get_varint(const char* in, std::size_t& v) noexcept {
+  v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const auto b = static_cast<unsigned char>(*in++);
+    v |= static_cast<std::size_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return in;
+  }
+}
 
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
@@ -47,20 +77,31 @@ class RowParser {
     expect('{');
     row.index = parse_uint(key("i"));
     expect(',');
-    row.qname = parse_string(key("qname"));
+    const std::string qname = parse_string(key("qname"));
+    if (qname.size() > std::numeric_limits<std::uint16_t>::max()) {
+      fail("qname longer than 65535 bytes");
+    }
+    row.set_qname(qname);
     expect(',');
-    row.rcode = parse_string(key("rcode"));
+    const std::string rcode = parse_string(key("rcode"));
+    if (rcode.size() > ShortText::kCapacity) {
+      fail("rcode longer than 11 characters");
+    }
+    row.rcode = rcode;
     expect(',');
     key("answers");
     expect('[');
+    std::vector<std::string> answers;
     if (peek() != ']') {
       for (;;) {
-        row.answers.push_back(parse_string("answers element"));
+        answers.push_back(parse_string("answers element"));
         if (peek() != ',') break;
         ++pos_;
       }
     }
     expect(']');
+    const std::vector<std::string_view> views(answers.begin(), answers.end());
+    row.set_answers(views);
     expect(',');
     row.chain = static_cast<std::uint32_t>(parse_uint(key("chain")));
     expect(',');
@@ -188,6 +229,111 @@ class RowParser {
 
 }  // namespace
 
+ShortText& ShortText::operator=(std::string_view s) {
+  if (s.size() > kCapacity) {
+    throw std::length_error{"ShortText: more than 11 characters"};
+  }
+  std::memset(chars_, 0, kCapacity);
+  std::memcpy(chars_, s.data(), s.size());
+  size_ = static_cast<std::uint8_t>(s.size());
+  return *this;
+}
+
+std::string_view ScanRow::Answers::iterator::operator*() const noexcept {
+  std::size_t n = 0;
+  const char* p = get_varint(p_, n);
+  return {p, n};
+}
+
+ScanRow::Answers::iterator& ScanRow::Answers::iterator::operator++() noexcept {
+  std::size_t n = 0;
+  p_ = get_varint(p_, n) + n;
+  return *this;
+}
+
+ScanRow::ScanRow(const ScanRow& o)
+    : index(o.index),
+      sim_ms(o.sim_ms),
+      chain(o.chain),
+      upstream(o.upstream),
+      rcode(o.rcode),
+      cache_hit(o.cache_hit),
+      qname_size_(o.qname_size_),
+      size_(o.size_) {
+  if (o.spilled()) {
+    char* p = new char[size_];
+    std::memcpy(p, o.heap(), size_);
+    std::memcpy(buf_, &p, sizeof p);
+  } else {
+    std::memcpy(buf_, o.buf_, kInlineCapacity);
+  }
+}
+
+void ScanRow::steal(ScanRow& o) noexcept {
+  index = o.index;
+  sim_ms = o.sim_ms;
+  chain = o.chain;
+  upstream = o.upstream;
+  rcode = o.rcode;
+  cache_hit = o.cache_hit;
+  qname_size_ = o.qname_size_;
+  size_ = o.size_;
+  std::memcpy(buf_, o.buf_, kInlineCapacity);  // text or heap address
+  o.qname_size_ = 0;
+  o.size_ = 0;
+}
+
+void ScanRow::set_qname(std::string_view qname) {
+  if (qname.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::length_error{"ScanRow: qname longer than 65535 bytes"};
+  }
+  rebuild(qname, {text() + qname_size_, size_ - qname_size_}, {});
+}
+
+void ScanRow::set_answers(std::span<const std::string_view> answers) {
+  rebuild(qname(), {}, answers);
+}
+
+void ScanRow::rebuild(std::string_view qname, std::string_view encoded,
+                      std::span<const std::string_view> answers) {
+  std::size_t size = qname.size() + encoded.size();
+  for (const std::string_view a : answers) {
+    size += varint_size(a.size()) + a.size();
+  }
+  if (size > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"ScanRow: text past 4 GiB"};
+  }
+  // Build beside the old text: `qname` and `encoded` may point into it.
+  char inline_text[kInlineCapacity]{};
+  char* const out = size > kInlineCapacity ? new char[size] : inline_text;
+  char* p = out;
+  if (!qname.empty()) std::memcpy(p, qname.data(), qname.size());
+  p += qname.size();
+  if (!encoded.empty()) std::memcpy(p, encoded.data(), encoded.size());
+  p += encoded.size();
+  for (const std::string_view a : answers) {
+    p = put_varint(p, a.size());
+    if (!a.empty()) std::memcpy(p, a.data(), a.size());
+    p += a.size();
+  }
+  free_heap();
+  if (out == inline_text) {
+    std::memcpy(buf_, inline_text, kInlineCapacity);
+  } else {
+    std::memcpy(buf_, &out, sizeof out);
+  }
+  qname_size_ = static_cast<std::uint16_t>(qname.size());
+  size_ = static_cast<std::uint32_t>(size);
+}
+
+bool operator==(const ScanRow& a, const ScanRow& b) noexcept {
+  return a.index == b.index && a.sim_ms == b.sim_ms && a.chain == b.chain &&
+         a.upstream == b.upstream && a.rcode == b.rcode &&
+         a.cache_hit == b.cache_hit && a.qname_size_ == b.qname_size_ &&
+         std::string_view{a.text(), a.size_} ==
+             std::string_view{b.text(), b.size_};
+}
+
 void write_scan_rows(std::ostream& out, const std::vector<ScanRow>& rows) {
   std::string buf;
   for (const ScanRow& row : rows) {
@@ -195,13 +341,15 @@ void write_scan_rows(std::ostream& out, const std::vector<ScanRow>& rows) {
     buf += "{\"i\":";
     buf += std::to_string(row.index);
     buf += ",\"qname\":";
-    append_json_string(buf, row.qname);
+    append_json_string(buf, row.qname());
     buf += ",\"rcode\":";
     append_json_string(buf, row.rcode);
     buf += ",\"answers\":[";
-    for (std::size_t i = 0; i < row.answers.size(); ++i) {
-      if (i != 0) buf.push_back(',');
-      append_json_string(buf, row.answers[i]);
+    bool first = true;
+    for (const std::string_view answer : row.answers()) {
+      if (!first) buf.push_back(',');
+      first = false;
+      append_json_string(buf, answer);
     }
     buf += "],\"chain\":";
     buf += std::to_string(row.chain);

@@ -77,7 +77,7 @@ namespace {
 // Allocations per completed query when the budget was set (GCC 12,
 // Release). A rise of more than 10% fails the test.
 constexpr double kCampaignBudget = 15.14;
-constexpr double kScanBudget = 10.20;
+constexpr double kScanBudget = 7.33;
 constexpr double kSlack = 1.10;
 
 struct Measured {

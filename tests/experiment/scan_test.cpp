@@ -11,7 +11,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,9 +76,9 @@ TEST(Scan, EveryNameIssuedAndCompletedOnce) {
   ASSERT_EQ(result.rows.size(), 500u);
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     EXPECT_EQ(result.rows[i].index, i);
-    EXPECT_FALSE(result.rows[i].qname.empty()) << "row " << i;
+    EXPECT_FALSE(result.rows[i].qname().empty()) << "row " << i;
     EXPECT_EQ(result.rows[i].rcode, "NOERROR") << "row " << i;
-    EXPECT_FALSE(result.rows[i].answers.empty()) << "row " << i;
+    EXPECT_FALSE(result.rows[i].answers().empty()) << "row " << i;
   }
   EXPECT_EQ(result.metrics.counter_value(obs::names::kScanNamesIssued),
             500u);
@@ -136,8 +139,8 @@ TEST(Scan, ExplicitNameListOverridesGenerator) {
   sc.name_list = {"a.test.nl", "b.test.nl", "c.test.nl"};
   const auto result = run_scan(tb, sc);
   ASSERT_EQ(result.rows.size(), 3u);
-  EXPECT_EQ(result.rows[0].qname, "a.test.nl.");
-  EXPECT_EQ(result.rows[2].qname, "c.test.nl.");
+  EXPECT_EQ(result.rows[0].qname(), "a.test.nl.");
+  EXPECT_EQ(result.rows[2].qname(), "c.test.nl.");
 }
 
 // --- JSONL round-trip and strict parsing --------------------------------
@@ -145,9 +148,11 @@ TEST(Scan, ExplicitNameListOverridesGenerator) {
 obs::ScanRow sample_row() {
   obs::ScanRow row;
   row.index = 42;
-  row.qname = "s42.test.nl";
+  row.set_qname("s42.test.nl");
   row.rcode = "NOERROR";
-  row.answers = {"FRA", "weird \"quote\"\\backslash\n"};
+  const std::string_view answers[] = {"FRA",
+                                      "weird \"quote\"\\backslash\n"};
+  row.set_answers(answers);
   row.chain = 2;
   row.sim_ms = 123.456;
   row.upstream = 3;
@@ -159,7 +164,7 @@ TEST(ScanLog, RoundTripsRows) {
   std::vector<obs::ScanRow> rows{sample_row()};
   rows.push_back(obs::ScanRow{});
   rows[1].index = 43;
-  rows[1].qname = "s43.test.nl";
+  rows[1].set_qname("s43.test.nl");
   rows[1].rcode = "SERVFAIL";
   rows[1].cache_hit = true;
 
@@ -170,6 +175,113 @@ TEST(ScanLog, RoundTripsRows) {
   ASSERT_EQ(parsed.size(), rows.size());
   EXPECT_EQ(parsed[0], rows[0]);
   EXPECT_EQ(parsed[1], rows[1]);
+}
+
+std::string write_rows(const std::vector<obs::ScanRow>& rows) {
+  std::ostringstream out;
+  obs::write_scan_rows(out, rows);
+  return out.str();
+}
+
+std::vector<obs::ScanRow> read_rows(const std::string& text) {
+  std::istringstream in{text};
+  return obs::read_scan_rows(in);
+}
+
+std::vector<std::string> answers_of(const obs::ScanRow& row) {
+  return {row.answers().begin(), row.answers().end()};
+}
+
+TEST(ScanLog, RowsRoundTripByteExactThroughInlineAndSpilledText) {
+  // A 255-octet wire name (four labels of 63, 63, 63 and 61 octets) in
+  // mixed case: 254 presentation bytes, root dot included.
+  std::string long_qname;
+  for (const std::size_t len : {63u, 63u, 63u, 61u}) {
+    for (std::size_t i = 0; i < len; ++i) {
+      long_qname.push_back(i % 2 == 0 ? static_cast<char>('A' + i % 26)
+                                      : static_cast<char>('a' + i % 26));
+    }
+    long_qname.push_back('.');
+  }
+  ASSERT_EQ(long_qname.size(), 254u);
+
+  // Many TXT strings: 255-byte ones, empty ones, and short ones with
+  // bytes that JSON escapes.
+  std::vector<std::string> many;
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 == 0) {
+      many.emplace_back(255, static_cast<char>('a' + i % 26));
+    } else if (i % 3 == 1) {
+      many.emplace_back();
+    } else {
+      many.push_back("\"\\\n\r\t\x01\x7f" + std::to_string(i));
+    }
+  }
+  const std::vector<std::string_view> many_views(many.begin(), many.end());
+
+  std::vector<obs::ScanRow> rows(4);
+  rows[0].index = 0;
+  rows[0].set_qname("s0.OurTestDomain.nl.");
+  rows[0].rcode = "NOERROR";
+  rows[1].index = 1;
+  rows[1].set_qname(long_qname);
+  rows[1].rcode = "NXDOMAIN";
+  rows[2].index = 2;
+  rows[2].set_qname("MiXeD.case.example.");
+  rows[2].set_answers(many_views);
+  rows[2].rcode = "NOERROR";
+  rows[2].chain = 1;
+  rows[3].index = 3;
+  rows[3].set_answers(many_views);  // answers first, then the qname
+  rows[3].set_qname(long_qname);
+  rows[3].rcode = "SERVFAIL";
+
+  EXPECT_FALSE(rows[0].spilled());
+  EXPECT_TRUE(rows[0].answers().empty());
+  EXPECT_TRUE(rows[1].spilled());
+  EXPECT_TRUE(rows[1].answers().empty());
+  EXPECT_EQ(rows[1].qname(), long_qname);
+  EXPECT_TRUE(rows[2].spilled());
+  EXPECT_EQ(rows[2].qname(), "MiXeD.case.example.");
+  EXPECT_EQ(answers_of(rows[2]), many);
+  EXPECT_EQ(rows[3].qname(), long_qname);
+  EXPECT_EQ(answers_of(rows[3]), many);
+
+  const std::string bytes = write_rows(rows);
+  const auto parsed = read_rows(bytes);
+  ASSERT_EQ(parsed.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(parsed[i], rows[i]) << "row " << i;
+    EXPECT_EQ(parsed[i].qname(), rows[i].qname()) << "row " << i;
+    EXPECT_EQ(answers_of(parsed[i]), answers_of(rows[i])) << "row " << i;
+  }
+  EXPECT_EQ(write_rows(parsed), bytes);
+
+  // Copies and moves keep the text, inline or spilled.
+  std::vector<obs::ScanRow> copied = rows;
+  EXPECT_EQ(copied, rows);
+  const std::vector<obs::ScanRow> moved = std::move(copied);
+  EXPECT_EQ(moved, rows);
+  obs::ScanRow reassigned = rows[2];
+  reassigned = rows[0];
+  EXPECT_EQ(reassigned, rows[0]);
+  reassigned.set_answers({});
+  EXPECT_EQ(reassigned.qname(), "s0.OurTestDomain.nl.");
+}
+
+TEST(ScanLog, GeneratedScanRowFitsInlineInEightyBytes) {
+  static_assert(sizeof(obs::ScanRow) <= 80);
+  obs::ScanRow row;
+  row.set_qname("s149999.ourtestdomain.nl.");  // a 25-character scan name
+  const std::string_view answer[] = {"GRU"};
+  row.set_answers(answer);
+  EXPECT_FALSE(row.spilled());
+  EXPECT_EQ(row.qname(), "s149999.ourtestdomain.nl.");
+  EXPECT_EQ(answers_of(row), std::vector<std::string>{"GRU"});
+  EXPECT_TRUE(row.rcode != "NOERROR");  // compares by text: empty
+  row.rcode = "NOERROR";
+  EXPECT_FALSE(row.rcode != "NOERROR");
+  EXPECT_THROW(row.rcode = "TWELVE-CHARS", std::length_error);
 }
 
 TEST(ScanLog, RejectsMalformedRowsWithLineNumbers) {

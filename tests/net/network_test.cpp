@@ -331,6 +331,60 @@ TEST(Network, CountersTrackTraffic) {
   EXPECT_EQ(net.delivered(), 2u);
 }
 
+TEST(WireBuffer, SizeClassesAreEveryPowerOfTwoAndTheStepBetween) {
+  EXPECT_EQ(WireBufferPool::size_class(0), 32u);
+  EXPECT_EQ(WireBufferPool::size_class(32), 32u);
+  EXPECT_EQ(WireBufferPool::size_class(33), 48u);
+  EXPECT_EQ(WireBufferPool::size_class(45), 48u);
+  EXPECT_EQ(WireBufferPool::size_class(81), 96u);
+  EXPECT_EQ(WireBufferPool::size_class(97), 128u);
+  EXPECT_EQ(WireBufferPool::size_class(385), 512u);
+  EXPECT_EQ(WireBufferPool::size_class(400), 512u);
+  EXPECT_EQ(WireBufferPool::size_class(49152), 49152u);
+  EXPECT_EQ(WireBufferPool::size_class(65536), 65536u);
+  EXPECT_EQ(WireBufferPool::size_class(65537), 65537u);  // exact past 64K
+}
+
+TEST(Network, InFlightPacketsHoldTheirSizeClassNotTheEncoderScratch) {
+  Fixture f;
+  Network net{f.sim, f.params};
+  const NodeId sender = net.add_node("sender", point("FRA"));
+  const NodeId receiver = net.add_node("receiver", point("IAD"));
+  const Endpoint src{net.allocate_address(), 1000};
+  const Endpoint dst{net.allocate_address(), 53};
+
+  // An encoder writes into 512-byte scratch; what flies is sized to it.
+  auto encoded = [](std::size_t size) {
+    WireBuffer b = WireBuffer::acquire();
+    EXPECT_GE(b.bytes().capacity(), 512u);
+    for (std::size_t i = 0; i < size; ++i) {
+      b.bytes().push_back(static_cast<std::uint8_t>(i));
+    }
+    return b;
+  };
+
+  std::map<std::size_t, std::size_t> capacity_by_size;
+  net.listen(receiver, dst, [&](const Datagram& d, NodeId) {
+    for (std::size_t i = 0; i < d.payload.size(); ++i) {
+      ASSERT_EQ(d.payload[i], static_cast<std::uint8_t>(i));
+    }
+    capacity_by_size[d.payload.size()] = d.payload.bytes().capacity();
+  });
+
+  ASSERT_TRUE(net.send(sender, src, dst, encoded(45)));    // a query
+  ASSERT_TRUE(net.send(sender, src, dst, encoded(400)));   // a referral
+  ASSERT_TRUE(net.send_stream(sender, src, dst, encoded(1500)));
+  f.sim.run();
+
+  ASSERT_EQ(capacity_by_size.size(), 3u);
+  EXPECT_EQ(capacity_by_size[45], 48u);
+  EXPECT_EQ(capacity_by_size[400], 512u);
+  EXPECT_EQ(capacity_by_size[1500], 1536u);
+  for (const auto& [size, capacity] : capacity_by_size) {
+    EXPECT_LE(capacity, WireBufferPool::size_class(size)) << size;
+  }
+}
+
 TEST(Address, ToStringFormatsOctets) {
   EXPECT_EQ(IpAddress::from_octets(10, 0, 1, 2).to_string(), "10.0.1.2");
   EXPECT_EQ(IpAddress::from_octets(255, 255, 255, 255).to_string(),

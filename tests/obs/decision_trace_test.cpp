@@ -1,5 +1,5 @@
 // DecisionTrace: the enabled gate, the tab-separated round-trip (including
-// the malformed-line contract shared with authns::read_trace), canonical
+// the malformed-line contract with 1-based line numbers), canonical
 // ordering and the shard-merge append path.
 #include <sstream>
 #include <stdexcept>
