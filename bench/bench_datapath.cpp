@@ -2,13 +2,15 @@
 //
 // Measures the wire encoder three ways over a corpus of campaign-shaped
 // messages (queries with EDNS, referrals with glue, authoritative answers,
-// CNAME chains, negative responses, TXT answers):
+// CNAME chains, negative responses, TXT answers) and one answer each of
+// MX, PTR and SRV:
 //
 //   legacy    — a frozen copy of the pre-fastpath encoder (fresh vector per
 //               message, unordered_map<string> compression table), kept here
-//               verbatim as the baseline and as a differential oracle: its
-//               output is asserted byte-identical to the new encoder on
-//               every corpus message before anything is timed.
+//               as the baseline and as a differential oracle: its output is
+//               asserted byte-identical to the new encoder on every corpus
+//               message before anything is timed. Only its per-type RDATA
+//               writer changed since, to read records' wire bytes.
 //   unpooled  — the new single-pass encoder with WireBufferPool disabled
 //               (isolates the encoder rewrite from the pooling).
 //   pooled    — the production configuration.
@@ -144,54 +146,32 @@ class LegacyWriter {
   std::unordered_map<std::string, std::uint16_t> suffix_offsets_;
 };
 
-void legacy_encode_rdata(LegacyWriter& w, const Rdata& rdata) {
-  std::visit(
-      [&w](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, ARdata>) {
-          w.u32(v.address.bits());
-        } else if constexpr (std::is_same_v<T, AaaaRdata>) {
-          w.bytes(v.address);
-        } else if constexpr (std::is_same_v<T, NsRdata>) {
-          w.name(v.nsdname);
-        } else if constexpr (std::is_same_v<T, CnameRdata>) {
-          w.name(v.target);
-        } else if constexpr (std::is_same_v<T, PtrRdata>) {
-          w.name(v.target);
-        } else if constexpr (std::is_same_v<T, SoaRdata>) {
-          w.name(v.mname);
-          w.name(v.rname);
-          w.u32(v.serial);
-          w.u32(v.refresh);
-          w.u32(v.retry);
-          w.u32(v.expire);
-          w.u32(v.minimum);
-        } else if constexpr (std::is_same_v<T, MxRdata>) {
-          w.u16(v.preference);
-          w.name(v.exchange);
-        } else if constexpr (std::is_same_v<T, TxtRdata>) {
-          for (const std::string_view s : v) w.char_string(s);
-        } else if constexpr (std::is_same_v<T, SrvRdata>) {
-          w.u16(v.priority);
-          w.u16(v.weight);
-          w.u16(v.port);
-          w.name(v.target, /*compress=*/false);
-        } else if constexpr (std::is_same_v<T, OptRdata>) {
-          for (const auto& opt : v.options) {
-            w.u16(opt.code);
-            w.u16(static_cast<std::uint16_t>(opt.data.size()));
-            w.bytes(opt.data);
-          }
-        } else if constexpr (std::is_same_v<T, CaaRdata>) {
-          w.u8(v.flags);
-          w.char_string(v.tag);
-          w.bytes({reinterpret_cast<const std::uint8_t*>(v.value.data()),
-                   v.value.size()});
-        } else if constexpr (std::is_same_v<T, RawRdata>) {
-          w.bytes(v.data);
-        }
-      },
-      rdata);
+// The per-type RDATA writer reads the record's uncompressed bytes and
+// parses each name out of them for the string-keyed table above.
+void legacy_encode_rdata(LegacyWriter& w, RdataView rdata) {
+  WireReader r{rdata.wire()};
+  switch (rdata.type()) {
+    case RRType::NS:
+    case RRType::CNAME:
+    case RRType::PTR:
+      w.name(r.name());
+      break;
+    case RRType::SOA:
+      w.name(r.name());
+      w.name(r.name());
+      w.bytes(r.view(20));
+      break;
+    case RRType::MX:
+      w.bytes(r.view(2));
+      w.name(r.name());
+      break;
+    case RRType::SRV:
+      w.bytes(r.view(6));
+      w.name(r.name(), /*compress=*/false);
+      break;
+    default:
+      w.bytes(rdata.wire());
+  }
 }
 
 std::uint16_t legacy_pack_flags(const Header& h) {
@@ -215,7 +195,7 @@ void legacy_encode_record(LegacyWriter& w, const ResourceRecord& rr) {
   const std::size_t rdlength_at = w.size();
   w.u16(0);
   const std::size_t rdata_start = w.size();
-  legacy_encode_rdata(w, rr.rdata);
+  legacy_encode_rdata(w, rr.rdata());
   w.patch_u16(rdlength_at,
               static_cast<std::uint16_t>(w.size() - rdata_start));
 }
@@ -249,7 +229,11 @@ std::vector<std::uint8_t> legacy_encode_message(const Message& m) {
     const std::size_t rdlength_at = w.size();
     w.u16(0);
     const std::size_t rdata_start = w.size();
-    legacy_encode_rdata(w, Rdata{m.edns->options});
+    for (const auto& opt : m.edns->options.options) {
+      w.u16(opt.code);
+      w.u16(static_cast<std::uint16_t>(opt.data.size()));
+      w.bytes(opt.data);
+    }
     w.patch_u16(rdlength_at,
                 static_cast<std::uint16_t>(w.size() - rdata_start));
   }
@@ -332,6 +316,32 @@ std::vector<Message> build_corpus() {
   txt.answers.push_back(ResourceRecord{query.question().qname, RRClass::IN,
                                        60, TxtRdata{{"recwild", "datapath"}}});
   corpus.push_back(txt);
+
+  // Answers with the remaining compressed RDATA names (MX, PTR) and an
+  // SRV target, which is never compressed (RFC 2782).
+  Message mx = Message::make_response(query);
+  mx.header.aa = true;
+  mx.answers.push_back(
+      ResourceRecord{zone, RRClass::IN, 300,
+                     MxRdata{10, Name::parse("mail.recwild-test.nl")}});
+  mx.additionals.push_back(ResourceRecord{
+      Name::parse("mail.recwild-test.nl"), RRClass::IN, 300,
+      ARdata{net::IpAddress::from_octets(10, 0, 0, 25)}});
+  corpus.push_back(mx);
+
+  Message ptr = Message::make_response(query);
+  ptr.header.aa = true;
+  ptr.answers.push_back(ResourceRecord{
+      query.question().qname, RRClass::IN, 300,
+      PtrRdata{Name::parse("host.recwild-test.nl")}});
+  corpus.push_back(ptr);
+
+  Message srv = Message::make_response(query);
+  srv.header.aa = true;
+  srv.answers.push_back(ResourceRecord{
+      Name::parse("_dns._udp.recwild-test.nl"), RRClass::IN, 300,
+      SrvRdata{0, 5, 53, ns1}});
+  corpus.push_back(srv);
 
   return corpus;
 }

@@ -90,7 +90,10 @@ void BM_RecordCachePutGet(benchmark::State& state) {
   set.name = dns::Name::parse("x.nl");
   set.type = dns::RRType::A;
   set.ttl = 300;
-  set.add(dns::ARdata{net::IpAddress{1}});
+  set.add(dns::ResourceRecord{set.name, dns::RRClass::IN, 300,
+                              dns::ARdata{net::IpAddress{1}}}
+              .rdata()
+              .wire());
   const net::SimTime now;
   for (auto _ : state) {
     cache.put(set, now);

@@ -81,8 +81,7 @@ std::map<std::string, int> run_policy(resolver::PolicyKind kind, int n) {
                 [&counts](const resolver::ResolveOutcome& out) {
                   for (const auto& rr : out.answers) {
                     if (rr.type() == dns::RRType::TXT) {
-                      counts[std::get<dns::TxtRdata>(rr.rdata)
-                                 .strings().at(0)]++;
+                      counts[std::string{*rr.rdata().txt().begin()}]++;
                     }
                   }
                 });

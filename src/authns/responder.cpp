@@ -133,8 +133,10 @@ void Responder::answer(const dns::Message& query, dns::Message& resp,
         static_cast<std::size_t>(config_.max_referral_fanout));
     std::erase_if(resp.additionals, [&](const dns::ResourceRecord& glue) {
       for (const auto& ns : resp.authorities) {
-        const auto* rdata = std::get_if<dns::NsRdata>(&ns.rdata);
-        if (rdata != nullptr && rdata->nsdname == glue.name) return false;
+        if (ns.type() == dns::RRType::NS &&
+            ns.rdata().target() == glue.name) {
+          return false;
+        }
       }
       return true;
     });

@@ -129,23 +129,21 @@ void SecondaryZone::on_datagram(const net::Datagram& dgram) {
   }
 
   if (what == Pending::Soa) {
-    const dns::SoaRdata* soa = nullptr;
+    std::optional<dns::RdataView> soa;
     for (const auto& rr : resp.answers) {
-      if (rr.type() == dns::RRType::SOA) {
-        soa = &std::get<dns::SoaRdata>(rr.rdata);
-      }
+      if (rr.type() == dns::RRType::SOA) soa = rr.rdata();
     }
-    if (soa == nullptr) {
+    if (!soa) {
       ++failures_;
       schedule_refresh(retry_interval());
       return;
     }
-    last_seen_refresh_ = soa->refresh;
-    last_seen_retry_ = soa->retry;
+    last_seen_refresh_ = soa->soa_refresh();
+    last_seen_retry_ = soa->soa_retry();
     // Serial arithmetic (RFC 1982): newer when the difference, as a
     // signed 32-bit value, is positive.
     const auto newer =
-        static_cast<std::int32_t>(soa->serial - serial_) > 0;
+        static_cast<std::int32_t>(soa->soa_serial() - serial_) > 0;
     if (serial_ == 0 || newer) {
       do_axfr();
     } else {
@@ -179,7 +177,7 @@ void SecondaryZone::on_datagram(const net::Datagram& dgram) {
     schedule_refresh(retry_interval());
     return;
   }
-  serial_ = soa->serial;
+  serial_ = soa->soa_serial();
   ++transfers_;
   server_.replace_zone(std::move(zone));
   if (on_transferred) on_transferred(serial_);

@@ -60,7 +60,7 @@ void Zone::add(const ResourceRecord& rr) {
     it = sets.insert(it, RRset{rr.name, rr.rrclass, t, rr.ttl, {}});
   }
   it->ttl = std::min(it->ttl, rr.ttl);
-  it->add(rr.rdata);  // an exact duplicate is dropped (RFC 2181 §5)
+  it->add(rr.rdata().wire());  // an exact duplicate is dropped (RFC 2181 §5)
 }
 
 const RRset* Zone::find(const Name& name, RRType type) const {
@@ -87,10 +87,10 @@ bool Zone::name_exists(const Name& name) const {
   return it != names_.end() && it->first.is_subdomain_of(name);
 }
 
-std::optional<dns::SoaRdata> Zone::soa() const {
+std::optional<dns::RdataView> Zone::soa() const {
   const RRset* s = find(origin_, RRType::SOA);
   if (s == nullptr || s->empty()) return std::nullopt;
-  return std::get<dns::SoaRdata>(s->front().to_rdata());
+  return s->front();
 }
 
 dns::Ttl Zone::negative_ttl() const {

@@ -59,8 +59,9 @@ class Zone {
   /// non-terminal (an existing name descends from it).
   [[nodiscard]] bool name_exists(const Name& name) const;
 
-  /// The zone's SOA record; nullopt for a zone still being built.
-  [[nodiscard]] std::optional<dns::SoaRdata> soa() const;
+  /// The zone's SOA RDATA, valid while the zone is unmodified; nullopt for
+  /// a zone still being built.
+  [[nodiscard]] std::optional<dns::RdataView> soa() const;
   /// SOA negative-caching TTL (minimum field), per RFC 2308.
   [[nodiscard]] dns::Ttl negative_ttl() const;
 

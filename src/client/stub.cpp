@@ -136,7 +136,7 @@ void StubResolver::on_datagram(const net::Datagram& dgram) {
   result.txt.clear();
   for (const auto& rr : result.answers) {
     if (rr.type() != dns::RRType::TXT) continue;
-    for (const std::string_view s : std::get<dns::TxtRdata>(rr.rdata)) {
+    for (const std::string_view s : rr.rdata().txt()) {
       result.txt.emplace_back(s);
     }
   }

@@ -1,6 +1,8 @@
 #include "dnscore/codec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
 
 #include "dnscore/wire.hpp"
@@ -47,6 +49,37 @@ void check_count(std::size_t n, const char* what) {
   }
 }
 
+/// Writes a record's RDATA: a copy of its bytes, except that the names of
+/// NS, CNAME, PTR, SOA and MX go through the compression table (SRV's stay
+/// uncompressed, RFC 2782).
+void write_rdata(WireWriter& w, RdataView rdata) {
+  const std::span<const std::uint8_t> wire = rdata.wire();
+  const auto name = [&w](std::span<const std::uint8_t> n) {
+    w.name(n.first(n.size() - 1));  // without its root octet
+  };
+  switch (rdata.type()) {
+    case RRType::NS:
+    case RRType::CNAME:
+    case RRType::PTR:
+      name(wire);
+      return;
+    case RRType::SOA: {
+      std::size_t mname = 1;  // through its root octet
+      while (wire[mname - 1] != 0) mname += 1 + std::size_t{wire[mname - 1]};
+      name(wire.first(mname));
+      name(wire.subspan(mname, wire.size() - 20 - mname));
+      w.bytes(wire.last(20));
+      return;
+    }
+    case RRType::MX:
+      w.bytes(wire.first(2));
+      name(wire.subspan(2));
+      return;
+    default:
+      w.bytes(wire);
+  }
+}
+
 void encode_record(WireWriter& w, const ResourceRecord& rr) {
   w.name(rr.name);
   w.u16(static_cast<std::uint16_t>(rr.type()));
@@ -55,7 +88,7 @@ void encode_record(WireWriter& w, const ResourceRecord& rr) {
   const std::size_t rdlength_at = w.size();
   w.u16(0);  // placeholder
   const std::size_t rdata_start = w.size();
-  encode_rdata(w, rr.rdata);
+  write_rdata(w, rr.rdata());
   const std::size_t rdlength = w.size() - rdata_start;
   if (rdlength > std::numeric_limits<std::uint16_t>::max()) {
     throw WireError{"RDATA too long"};
@@ -80,6 +113,86 @@ void encode_opt(WireWriter& w, const EdnsInfo& edns) {
               static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
+/// Room for RDATA with its names uncompressed: at most two names and the
+/// 20 octets of an SOA's counters.
+using Expanded = std::array<std::uint8_t, 2 * kMaxNameWireLength + 20>;
+
+/// Reads `rdlength` octets of `type` RDATA from `r`, checks them as the
+/// wire format requires (WireError otherwise) and returns them with every
+/// name uncompressed: in place when they hold no name, else in `x`.
+/// Unknown types are taken as they are.
+std::span<const std::uint8_t> read_rdata(WireReader& r, RRType type,
+                                         std::size_t rdlength, Expanded& x) {
+  const std::size_t start = r.offset();
+  const std::size_t end = start + rdlength;
+  std::size_t size = 0;
+  const auto put = [&](std::span<const std::uint8_t> b) {
+    std::memcpy(x.data() + size, b.data(), b.size());
+    size += b.size();
+  };
+  const auto put_name = [&] {
+    put(r.name().wire());
+    x[size++] = 0;  // root
+  };
+  const auto check_end = [&] {
+    if (r.offset() != end) {
+      throw WireError{"RDATA length mismatch in " +
+                      std::string{to_string(type)}};
+    }
+  };
+  switch (type) {
+    case RRType::A:
+      if (rdlength != 4) throw WireError{"A RDATA must be 4 octets"};
+      return r.view(4);
+    case RRType::AAAA:
+      if (rdlength != 16) throw WireError{"AAAA RDATA must be 16 octets"};
+      return r.view(16);
+    case RRType::NS:
+    case RRType::CNAME:
+    case RRType::PTR:
+      put_name();
+      check_end();
+      return {x.data(), size};
+    case RRType::SOA:
+      put_name();
+      put_name();
+      put(r.view(20));
+      check_end();
+      return {x.data(), size};
+    case RRType::MX:
+    case RRType::SRV:
+      put(r.view(type == RRType::MX ? 2 : 6));
+      put_name();
+      check_end();
+      return {x.data(), size};
+    case RRType::TXT: {
+      const auto wire = r.view(rdlength);
+      for (std::size_t p = 0; p < wire.size(); p += 1 + std::size_t{wire[p]}) {
+        if (p + 1 + wire[p] > wire.size()) {
+          throw WireError{"RDATA length mismatch in TXT"};
+        }
+      }
+      return wire;
+    }
+    case RRType::OPT:
+      while (r.offset() < end) {
+        r.u16();  // option code
+        r.skip(r.u16());
+      }
+      check_end();
+      break;
+    case RRType::CAA:
+      r.u8();  // flags
+      r.skip(r.u8());  // tag
+      if (r.offset() > end) throw WireError{"CAA tag overruns RDATA"};
+      break;
+    default:
+      break;
+  }
+  r.seek(start);
+  return r.view(rdlength);
+}
+
 void decode_record(WireReader& r, std::vector<ResourceRecord>& out) {
   ResourceRecord& rr = out.emplace_back();
   rr.name = r.name();
@@ -87,7 +200,8 @@ void decode_record(WireReader& r, std::vector<ResourceRecord>& out) {
   rr.rrclass = static_cast<RRClass>(r.u16());
   rr.ttl = r.u32();
   const std::uint16_t rdlength = r.u16();
-  rr.rdata = decode_rdata(r, type, rdlength);
+  Expanded x;
+  rr.set_rdata(type, read_rdata(r, type, rdlength, x));
 }
 
 }  // namespace
@@ -173,8 +287,14 @@ void decode_message(std::span<const std::uint8_t> wire, Message& m) {
       edns.version = static_cast<std::uint8_t>((ttl >> 16) & 0xff);
       edns.dnssec_ok = (ttl & 0x8000) != 0;
       const std::uint16_t rdlength = r.u16();
-      Rdata rd = decode_rdata(r, RRType::OPT, rdlength);
-      edns.options = std::move(std::get<OptRdata>(rd));
+      const std::size_t end = r.offset() + rdlength;
+      while (r.offset() < end) {
+        OptRdata::Option& opt = edns.options.options.emplace_back();
+        opt.code = r.u16();
+        const std::uint16_t len = r.u16();
+        opt.data = r.bytes(len);
+      }
+      if (r.offset() != end) throw WireError{"RDATA length mismatch in OPT"};
       m.edns = std::move(edns);
     } else {
       r.seek(mark);

@@ -1,4 +1,10 @@
 // Message <-> wire codec (RFC 1035 §4.1, RFC 6891 for OPT).
+//
+// Records keep their RDATA as uncompressed wire bytes (record.hpp), so the
+// codec converts nothing else: decoding checks each RDATA as the wire
+// format requires and expands its compressed names; encoding copies RDATA
+// without names and sends the names of NS, CNAME, PTR, SOA and MX through
+// the compression table (SRV's stay uncompressed, RFC 2782).
 #pragma once
 
 #include <cstdint>

@@ -31,42 +31,46 @@ namespace recwild::dns {
 inline constexpr std::size_t kMaxLabelLength = 63;
 inline constexpr std::size_t kMaxNameWireLength = 255;
 
+/// Forward iterator over length-prefixed strings (a length octet, then
+/// that many octets): a name's labels, a TXT RDATA's character-strings.
+/// Yields views into the bytes it walks.
+class StringIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = std::string_view;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = std::string_view;
+
+  StringIterator() = default;
+  explicit StringIterator(const std::uint8_t* p) noexcept : p_(p) {}
+  std::string_view operator*() const noexcept {
+    return {reinterpret_cast<const char*>(p_ + 1), *p_};
+  }
+  StringIterator& operator++() noexcept {
+    p_ += 1 + std::size_t{*p_};
+    return *this;
+  }
+  StringIterator operator++(int) noexcept {
+    StringIterator old = *this;
+    ++*this;
+    return old;
+  }
+  bool operator==(const StringIterator&) const = default;
+
+ private:
+  const std::uint8_t* p_ = nullptr;
+};
+
 class Name {
  public:
   /// Label octets (the wire form without its root octet) stored inside the
   /// Name. Names of up to kInlineCapacity + 1 wire octets never allocate.
   static constexpr std::size_t kInlineCapacity = 38;
 
-  /// Forward iterator over the labels, most-specific first. Yields views
-  /// into the Name, valid while the Name is alive and unmodified.
-  class LabelIterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = std::string_view;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = std::string_view;
-
-    LabelIterator() = default;
-    std::string_view operator*() const noexcept {
-      return {reinterpret_cast<const char*>(p_ + 1), *p_};
-    }
-    LabelIterator& operator++() noexcept {
-      p_ += 1 + std::size_t{*p_};
-      return *this;
-    }
-    LabelIterator operator++(int) noexcept {
-      LabelIterator old = *this;
-      ++*this;
-      return old;
-    }
-    bool operator==(const LabelIterator&) const = default;
-
-   private:
-    friend class Name;
-    explicit LabelIterator(const std::uint8_t* p) : p_(p) {}
-    const std::uint8_t* p_ = nullptr;
-  };
+  /// Iterator over the labels, most-specific first, yielding views into
+  /// the Name, valid while the Name is alive and unmodified.
+  using LabelIterator = StringIterator;
 
   /// The root name (".").
   Name() = default;

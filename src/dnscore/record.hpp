@@ -1,19 +1,22 @@
 // Resource records (RFC 1035 §3.2.1) and record sets.
 //
-// A ResourceRecord carries typed Rdata; message sections hold those. An
-// RRset holds its RDATAs as one flat block of wire bytes instead: each
-// RDATA is a big-endian u16 length followed by its uncompressed wire form
-// (names written in full, so every entry stands alone). Reads go through
-// typed read-only views (RdataView); typed Rdata is rebuilt only when a
-// record leaves the set for a message (append_records).
+// Records and sets hold RDATA the same way: as uncompressed wire bytes
+// (names written in full, so every RDATA stands alone), read through
+// RdataView. A ResourceRecord holds one RDATA; an RRset holds all of its
+// RDATAs in one block, each a big-endian u16 length followed by its bytes.
+// Moving a record into a set, a set into a message or a decoded record
+// into the cache is a copy of those bytes; the encoder compresses names
+// again on the way out.
 #pragma once
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,75 +26,19 @@ namespace recwild::dns {
 
 using Ttl = std::uint32_t;
 
-struct ResourceRecord {
-  Name name;
-  RRClass rrclass = RRClass::IN;
-  Ttl ttl = 0;
-  Rdata rdata;
-
-  [[nodiscard]] RRType type() const noexcept { return rdata_type(rdata); }
-
-  /// "name TTL class type rdata" presentation line.
-  [[nodiscard]] std::string to_string() const;
-
-  bool operator==(const ResourceRecord&) const = default;
-};
-
-/// One RDATA of an RRset, read in place: the set's type and the RDATA's
-/// uncompressed wire bytes. Valid while the set is alive and unmodified.
-/// The typed accessors require the set's type to match.
-class RdataView {
+/// Bytes that live inside the object up to kInlineCapacity octets and
+/// spill past that to one heap block of exactly their size, counted by
+/// heap_spills() (one counter for each capacity). The idiom of Name.
+template <std::size_t InlineCapacity>
+class BasicRdataBlock {
  public:
-  RdataView(RRType type, std::span<const std::uint8_t> wire) noexcept
-      : wire_(wire), type_(type) {}
+  static constexpr std::size_t kInlineCapacity = InlineCapacity;
+  static_assert(kInlineCapacity >=
+                sizeof(std::uint8_t*) + sizeof(std::uint32_t));
+  static_assert(kInlineCapacity < 0xffff);
 
-  /// The RDATA as it goes on the wire, names uncompressed.
-  [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept {
-    return wire_;
-  }
-
-  /// A: the address.
-  [[nodiscard]] net::IpAddress a() const noexcept {
-    return net::IpAddress{u32_at(0)};
-  }
-  /// AAAA: the 16 address octets.
-  [[nodiscard]] std::array<std::uint8_t, 16> aaaa() const noexcept {
-    std::array<std::uint8_t, 16> out{};
-    std::copy_n(wire_.first(16).begin(), 16, out.begin());
-    return out;
-  }
-  /// NS, CNAME, PTR: the target name.
-  [[nodiscard]] Name target() const;
-  /// SOA: the minimum field, the negative-caching TTL (RFC 2308).
-  [[nodiscard]] std::uint32_t soa_minimum() const noexcept {
-    return u32_at(wire_.size() - 4);
-  }
-  /// The typed Rdata, for a message section or presentation.
-  [[nodiscard]] Rdata to_rdata() const;
-
- private:
-  [[nodiscard]] std::uint32_t u32_at(std::size_t p) const noexcept {
-    return (std::uint32_t{wire_[p]} << 24) |
-           (std::uint32_t{wire_[p + 1]} << 16) |
-           (std::uint32_t{wire_[p + 2]} << 8) | std::uint32_t{wire_[p + 3]};
-  }
-
-  std::span<const std::uint8_t> wire_;
-  RRType type_;
-};
-
-/// The storage of an RRset's RDATAs: a sequence of entries, each a
-/// big-endian u16 length followed by that many octets. Up to
-/// kInlineCapacity bytes live inside the object, in the 24 bytes a vector
-/// would take; a larger block spills to one heap block of exactly its size
-/// (counted by heap_spills()). A probe answer (one short TXT) or a single
-/// A record never touches the heap.
-class RdataBlock {
- public:
-  static constexpr std::size_t kInlineCapacity = 22;
-
-  RdataBlock() = default;
-  RdataBlock(const RdataBlock& o) : size_(o.size_) {
+  BasicRdataBlock() = default;
+  BasicRdataBlock(const BasicRdataBlock& o) : size_(o.size_) {
     if (o.spilled()) {
       const std::uint32_t n = o.heap_size();
       set_heap(allocate(n), n);
@@ -100,15 +47,15 @@ class RdataBlock {
       std::memcpy(buf_, o.buf_, kInlineCapacity);
     }
   }
-  RdataBlock(RdataBlock&& o) noexcept : size_(o.size_) {
+  BasicRdataBlock(BasicRdataBlock&& o) noexcept : size_(o.size_) {
     std::memcpy(buf_, o.buf_, kInlineCapacity);  // bytes or heap block
     o.size_ = 0;
   }
-  RdataBlock& operator=(const RdataBlock& o) {
-    if (this != &o) *this = RdataBlock{o};
+  BasicRdataBlock& operator=(const BasicRdataBlock& o) {
+    if (this != &o) *this = BasicRdataBlock{o};
     return *this;
   }
-  RdataBlock& operator=(RdataBlock&& o) noexcept {
+  BasicRdataBlock& operator=(BasicRdataBlock&& o) noexcept {
     if (this != &o) {
       free_heap();
       std::memcpy(buf_, o.buf_, kInlineCapacity);
@@ -117,9 +64,8 @@ class RdataBlock {
     }
     return *this;
   }
-  ~RdataBlock() { free_heap(); }
+  ~BasicRdataBlock() { free_heap(); }
 
-  /// The entries, back to back.
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return spilled() ? std::span<const std::uint8_t>{heap(), heap_size()}
                      : std::span<const std::uint8_t>{buf_, size_};
@@ -127,16 +73,37 @@ class RdataBlock {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] bool spilled() const noexcept { return size_ == kSpilled; }
 
-  /// Appends whole entries (see bytes()).
-  void append(std::span<const std::uint8_t> entries);
-  /// Replaces the contents with `entries`.
-  void assign(std::span<const std::uint8_t> entries) {
-    *this = RdataBlock{};
-    append(entries);
+  /// Makes room for `n` more bytes at the end and returns where they go.
+  std::uint8_t* extend(std::size_t n) {
+    const std::span<const std::uint8_t> old = bytes();
+    const std::size_t size = old.size() + n;
+    if (size <= kInlineCapacity) {
+      size_ = static_cast<std::uint16_t>(size);
+      return buf_ + old.size();
+    }
+    if (size > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error{"RdataBlock: block exceeds 4 GiB"};
+    }
+    std::uint8_t* block = allocate(size);
+    if (!old.empty()) std::memcpy(block, old.data(), old.size());
+    free_heap();
+    set_heap(block, static_cast<std::uint32_t>(size));
+    return block + old.size();
+  }
+  void append(std::span<const std::uint8_t> b) {
+    if (!b.empty()) std::memcpy(extend(b.size()), b.data(), b.size());
+  }
+  /// Replaces the contents with `b`.
+  void assign(std::span<const std::uint8_t> b) {
+    free_heap();
+    size_ = 0;
+    append(b);
   }
 
-  /// Heap blocks allocated for spilled RRsets by all threads since start.
-  [[nodiscard]] static std::uint64_t heap_spills() noexcept;
+  /// Heap blocks allocated by all threads since start.
+  [[nodiscard]] static std::uint64_t heap_spills() noexcept {
+    return spills_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// size_ of a spilled block; the heap block's address and its size (u32)
@@ -161,18 +128,77 @@ class RdataBlock {
   void free_heap() noexcept {
     if (spilled()) delete[] heap();
   }
-  /// A new heap block of `size` bytes, counted in heap_spills().
-  static std::uint8_t* allocate(std::size_t size);
+  static std::uint8_t* allocate(std::size_t size) {
+    spills_.fetch_add(1, std::memory_order_relaxed);
+    return new std::uint8_t[size];
+  }
 
-  /// The entries while they fit; once spilled, the heap block's address
-  /// and size.
+  static inline std::atomic<std::uint64_t> spills_{0};
+
+  /// The bytes while they fit; once spilled, the heap block's address and
+  /// size.
   alignas(std::uint8_t*) std::uint8_t buf_[kInlineCapacity]{};
   std::uint16_t size_ = 0;  // inline bytes, or kSpilled
 };
 
+/// An RRset's RDATAs: 22 bytes inline, in the 24 a vector would take, so a
+/// probe answer (one short TXT) or a single A record never touches the
+/// heap.
+using RdataBlock = BasicRdataBlock<22>;
+/// One record's RDATA: 118 bytes inline, enough for an SOA with two
+/// 39-octet names or a TXT of up to 118 octets.
+using RecordRdata = BasicRdataBlock<118>;
+
 static_assert(sizeof(RdataBlock) == 24);
-static_assert(RdataBlock::kInlineCapacity >=
-              sizeof(std::uint8_t*) + sizeof(std::uint32_t));
+static_assert(sizeof(RecordRdata) == 120);
+
+/// A resource record: owner, type, class, TTL and one RDATA's uncompressed
+/// wire bytes. The type and the bytes change only together.
+class ResourceRecord {
+ public:
+  Name name;
+  RRClass rrclass = RRClass::IN;
+  Ttl ttl = 0;
+
+  ResourceRecord() = default;
+  /// A record holding `rdata`'s uncompressed wire form. Throws WireError
+  /// as encode_rdata does, or when the RDATA exceeds 65535 octets.
+  ResourceRecord(Name name, RRClass rrclass, Ttl ttl,  // NOLINT(*-explicit-*)
+                 const Rdata& rdata);
+  /// A record holding `wire`, valid uncompressed RDATA of `type`.
+  ResourceRecord(Name name, RRType type, RRClass rrclass, Ttl ttl,
+                 std::span<const std::uint8_t> wire)
+      : name(std::move(name)), rrclass(rrclass), ttl(ttl), type_(type) {
+    rdata_.assign(wire);
+  }
+
+  [[nodiscard]] RRType type() const noexcept { return type_; }
+  [[nodiscard]] RdataView rdata() const noexcept {
+    return {type_, rdata_.bytes()};
+  }
+  /// Replaces the RDATA with `wire`, valid uncompressed RDATA of `type`.
+  void set_rdata(RRType type, std::span<const std::uint8_t> wire) {
+    type_ = type;
+    rdata_.assign(wire);
+  }
+  /// True when the RDATA sits in a heap block rather than inline.
+  [[nodiscard]] bool spilled() const noexcept { return rdata_.spilled(); }
+
+  /// "name TTL class type rdata" presentation line.
+  [[nodiscard]] std::string to_string() const;
+
+  /// Owner and RDATA names compare case-insensitively.
+  bool operator==(const ResourceRecord& o) const noexcept {
+    return name == o.name && rrclass == o.rrclass && ttl == o.ttl &&
+           rdata() == o.rdata();
+  }
+
+ private:
+  RRType type_ = RRType::A;
+  RecordRdata rdata_;
+};
+
+static_assert(sizeof(ResourceRecord) <= 184);
 
 /// Forward iterator over an RRset's RDATAs, yielding views into its block.
 class RdataIterator {
@@ -233,10 +259,10 @@ struct RRset {
   /// The first RDATA. The set must not be empty.
   [[nodiscard]] RdataView front() const noexcept { return *begin(); }
 
-  /// Adds `rdata` unless the set already holds the same wire bytes: an
-  /// RRset has no duplicate records (RFC 2181 §5). Returns whether it was
-  /// added. Throws WireError when the RDATA exceeds 65535 octets.
-  bool add(const Rdata& rdata);
+  /// Adds the uncompressed RDATA `wire` unless the set already holds the
+  /// same bytes: an RRset has no duplicate records (RFC 2181 §5). Returns
+  /// whether it was added. Throws WireError past 65535 octets.
+  bool add(std::span<const std::uint8_t> wire);
 
   /// Appends the set's records to `out`, each owned by `owner` and carrying
   /// `ttl` (a wildcard synthesizes at the query name, a cache hands out the
@@ -247,14 +273,19 @@ struct RRset {
   void append_records(std::vector<ResourceRecord>& out) const {
     append_records(out, name, ttl);
   }
+
+  /// Writes the block entry for `wire` (at most 65535 octets) at `p`, which
+  /// has room for its 2 + wire.size() bytes; returns the end of it.
+  static std::uint8_t* put_entry(std::uint8_t* p,
+                                 std::span<const std::uint8_t> wire) {
+    p[0] = static_cast<std::uint8_t>(wire.size() >> 8);
+    p[1] = static_cast<std::uint8_t>(wire.size());
+    if (!wire.empty()) std::memcpy(p + 2, wire.data(), wire.size());
+    return p + 2 + wire.size();
+  }
 };
 
 static_assert(sizeof(RRset) <= 80);
-
-/// Writes `rdata` to `w` as one RdataBlock entry: its length, then its wire
-/// form (uncompressed when `w` does not compress). Throws WireError when
-/// the RDATA exceeds 65535 octets.
-void write_block_entry(WireWriter& w, const Rdata& rdata);
 
 /// Calls `fn(RRset&&)` for each RRset the records form, in first-seen
 /// order, with the records' RDATAs in order as given. Mixed TTLs within a
@@ -262,8 +293,6 @@ void write_block_entry(WireWriter& w, const Rdata& rdata);
 /// the caller's to keep (a cache moves it in as it is).
 template <class Fn>
 void for_each_rrset(const std::vector<ResourceRecord>& records, Fn&& fn) {
-  if (records.empty()) return;
-  WireWriter w{/*compress=*/false};
   for (auto rr = records.begin(); rr != records.end(); ++rr) {
     const RRType type = rr->type();
     const auto same_set = [&](const ResourceRecord& o) {
@@ -272,13 +301,16 @@ void for_each_rrset(const std::vector<ResourceRecord>& records, Fn&& fn) {
     };
     if (std::any_of(records.begin(), rr, same_set)) continue;  // grouped
     RRset set{rr->name, rr->rrclass, type, rr->ttl, {}};
-    const std::size_t start = w.size();
+    std::size_t size = 0;
     for (auto o = rr; o != records.end(); ++o) {
       if (!same_set(*o)) continue;
       set.ttl = std::min(set.ttl, o->ttl);
-      write_block_entry(w, o->rdata);
+      size += 2 + o->rdata().wire().size();
     }
-    set.block.assign(std::span{w.data()}.subspan(start));
+    std::uint8_t* p = set.block.extend(size);
+    for (auto o = rr; o != records.end(); ++o) {
+      if (same_set(*o)) p = RRset::put_entry(p, o->rdata().wire());
+    }
     fn(std::move(set));
   }
 }

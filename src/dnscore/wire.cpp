@@ -156,20 +156,19 @@ void WireWriter::grow_table() {
   net::WireBufferPool::release_scratch16(std::move(old));
 }
 
-void WireWriter::name(const Name& n, bool compress) {
-  const std::span<const std::uint8_t> wire = n.wire();
-  const std::size_t count = n.label_count();
-  if (!compress || !compress_ || count == 0) {
+void WireWriter::name(std::span<const std::uint8_t> wire, bool compress) {
+  if (!compress || !compress_ || wire.empty()) {
     bytes(wire);
     u8(0);  // root
     return;
   }
   // Where each label starts in the name's flat wire form.
   std::uint8_t start[kMaxLabelsPerName + 1];
-  start[0] = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    start[i + 1] = static_cast<std::uint8_t>(start[i] + 1 + wire[start[i]]);
+  std::size_t count = 0;
+  for (std::size_t p = 0; p < wire.size(); p += 1 + std::size_t{wire[p]}) {
+    start[count++] = static_cast<std::uint8_t>(p);
   }
+  start[count] = static_cast<std::uint8_t>(wire.size());
   // One backward pass yields the hash of every suffix of the name.
   std::uint64_t suffix_hash[kMaxLabelsPerName + 1];
   suffix_hash[count] = kRootHash;
@@ -313,14 +312,6 @@ Name WireReader::name() {
     pos += 1 + len;
   }
   return out;
-}
-
-std::string WireReader::char_string() {
-  const std::uint8_t len = u8();
-  require(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return s;
 }
 
 }  // namespace recwild::dns

@@ -58,7 +58,10 @@ class WireWriter {
   /// Writes a name, using a compression pointer when a suffix of it was
   /// written before and the writer compresses. Set `compress = false`
   /// inside RDATA types whose names must not be compressed (SRV).
-  void name(const Name& n, bool compress = true);
+  void name(const Name& n, bool compress = true) { name(n.wire(), compress); }
+  /// The same for a name given as its uncompressed wire form without the
+  /// root octet (Name::wire()), such as a name inside stored RDATA.
+  void name(std::span<const std::uint8_t> wire, bool compress = true);
 
   /// Character-string: length byte + up to 255 octets (RFC 1035 §3.3).
   void char_string(std::string_view s);
@@ -112,8 +115,6 @@ class WireReader {
   /// Reads a (possibly compressed) name. Pointers may only point backwards;
   /// the total expanded length is capped at kMaxNameWireLength.
   Name name();
-
-  std::string char_string();
 
  private:
   void require(std::size_t n) const;

@@ -215,10 +215,10 @@ std::array<std::uint8_t, 16> parse_ipv6(const Token& t) {
   return out;
 }
 
-}  // namespace
-
-std::vector<ResourceRecord> parse_zone_text(std::string_view text,
-                                            const ZoneFileOptions& options) {
+/// parse_zone_text, keeping in `lineno` the line it is on.
+std::vector<ResourceRecord> parse_records(std::string_view text,
+                                          const ZoneFileOptions& options,
+                                          std::size_t& lineno) {
   Tokenizer tokenizer{text};
   const auto lines = tokenizer.lines();
 
@@ -229,7 +229,7 @@ std::vector<ResourceRecord> parse_zone_text(std::string_view text,
 
   for (const auto& line : lines) {
     if (line.empty()) continue;
-    const std::size_t lineno = line.front().line;
+    lineno = line.front().line;
 
     // Directives.
     if (line.front().text == "$ORIGIN") {
@@ -337,7 +337,7 @@ std::vector<ResourceRecord> parse_zone_text(std::string_view text,
           if (a.text.size() > 255) {
             throw ZoneParseError{lineno, "TXT string exceeds 255 octets"};
           }
-          txt.append(a.text);
+          txt.strings.push_back(a.text);
         }
         rdata = std::move(txt);
         break;
@@ -393,10 +393,23 @@ std::vector<ResourceRecord> parse_zone_text(std::string_view text,
       default:
         throw ZoneParseError{lineno, "unsupported type in zone file"};
     }
-    records.push_back(
-        ResourceRecord{std::move(name), rrclass, ttl, std::move(rdata)});
+    records.emplace_back(std::move(name), rrclass, ttl, rdata);
   }
   return records;
+}
+
+}  // namespace
+
+std::vector<ResourceRecord> parse_zone_text(std::string_view text,
+                                            const ZoneFileOptions& options) {
+  std::size_t lineno = 1;
+  try {
+    return parse_records(text, options, lineno);
+  } catch (const std::invalid_argument& e) {  // a malformed name
+    throw ZoneParseError{lineno, e.what()};
+  } catch (const WireError& e) {  // past a wire limit (RDATA, CAA tag)
+    throw ZoneParseError{lineno, e.what()};
+  }
 }
 
 std::string to_zone_text(const std::vector<ResourceRecord>& records) {

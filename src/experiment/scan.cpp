@@ -134,14 +134,14 @@ struct ShardScan {
     rdata_text.clear();
     for (const auto& rr : outcome.answers) {
       if (rr.type() != dns::RRType::TXT) {
-        rdata_text.push_back(dns::rdata_to_string(rr.rdata));
+        rdata_text.push_back(dns::rdata_to_string(rr.rdata()));
       }
     }
     answer_text.clear();
     std::size_t next_rdata = 0;
     for (const auto& rr : outcome.answers) {
       if (rr.type() == dns::RRType::TXT) {
-        const auto& txt = std::get<dns::TxtRdata>(rr.rdata);
+        const auto txt = rr.rdata().txt();
         answer_text.insert(answer_text.end(), txt.begin(), txt.end());
       } else {
         answer_text.emplace_back(rdata_text[next_rdata++]);

@@ -791,8 +791,7 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
     dns::Ttl neg_ttl = 300;
     for (const auto& rr : resp.authorities) {
       if (rr.type() == dns::RRType::SOA) {
-        neg_ttl = std::min(rr.ttl,
-                           std::get<dns::SoaRdata>(rr.rdata).minimum);
+        neg_ttl = std::min(rr.ttl, rr.rdata().soa_minimum());
       }
     }
     cache_message_records(resp, job->current_zone);
@@ -858,8 +857,7 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
   bool saw_soa = false;
   for (const auto& rr : resp.authorities) {
     if (rr.type() == dns::RRType::SOA) {
-      neg_ttl =
-          std::min(rr.ttl, std::get<dns::SoaRdata>(rr.rdata).minimum);
+      neg_ttl = std::min(rr.ttl, rr.rdata().soa_minimum());
       saw_soa = true;
     }
   }
@@ -924,7 +922,7 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
   for (const auto& rr : resp.authorities) {
     if (rr.type() != dns::RRType::NS || !(rr.name == child_zone)) continue;
     saw_target = true;
-    const auto& target = std::get<dns::NsRdata>(rr.rdata).nsdname;
+    const dns::Name target = rr.rdata().target();
     if (has_cached_address(target, now)) return false;
     // A target below the cut can only be resolved by the very servers we
     // lack addresses for; fetching it would loop. Skip it (missing glue).

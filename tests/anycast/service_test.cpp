@@ -89,8 +89,7 @@ TEST(AnycastService, SitesAnswerWithSharedAddress) {
                    1, dns::Name::parse("q.x.nl"), dns::RRType::TXT)));
   f.sim.run();
   ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(std::get<dns::TxtRdata>(answers[0].answers.at(0).rdata)
-                .strings()[0],
+  EXPECT_EQ(*answers[0].answers.at(0).rdata().txt().begin(),
             "anycast");
   // Only the European site logged the query.
   EXPECT_EQ(svc.sites()[0].server->log().total(), 1u);

@@ -68,7 +68,7 @@ struct World {
     const auto resp = secondary_server->answer(dns::Message::make_query(
         1, dns::Name::parse("www.example.nl"), dns::RRType::TXT));
     if (resp.answers.empty()) return "";
-    return std::get<dns::TxtRdata>(resp.answers[0].rdata).strings().at(0);
+    return std::string{*resp.answers[0].rdata().txt().begin()};
   }
 };
 

@@ -89,7 +89,7 @@ TEST(AuthServer, AnswersOverTheNetwork) {
   EXPECT_TRUE(resp.header.aa);
   EXPECT_EQ(resp.header.id, 1);
   ASSERT_EQ(resp.answers.size(), 1u);
-  EXPECT_EQ(std::get<dns::TxtRdata>(resp.answers[0].rdata).strings()[0],
+  EXPECT_EQ(*resp.answers[0].rdata().txt().begin(),
             "FRA");
   EXPECT_EQ(w.server->queries_received(), 1u);
   EXPECT_EQ(w.server->responses_sent(), 1u);
@@ -138,7 +138,7 @@ TEST(AuthServer, ChaosIdentityQueries) {
   ASSERT_EQ(w.received.size(), 1u);
   ASSERT_EQ(w.received[0].answers.size(), 1u);
   EXPECT_EQ(
-      std::get<dns::TxtRdata>(w.received[0].answers[0].rdata).strings()[0],
+      *w.received[0].answers[0].rdata().txt().begin(),
       "testsrv.fra");
 }
 

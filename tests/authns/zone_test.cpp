@@ -65,7 +65,7 @@ TEST(Zone, SoaAccessors) {
   const Zone z = make_zone();
   const auto soa = z.soa();
   ASSERT_TRUE(soa.has_value());
-  EXPECT_EQ(soa->serial, 2017041201u);
+  EXPECT_EQ(soa->soa_serial(), 2017041201u);
   EXPECT_EQ(z.negative_ttl(), 300u);
 }
 

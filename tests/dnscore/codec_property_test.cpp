@@ -81,7 +81,7 @@ class Gen : public NameGen {
           for (std::size_t j = 0; j < len; ++j) {
             s.push_back(static_cast<char>(u8()));
           }
-          v.append(s);
+          v.strings.push_back(s);
         }
         return v;
       }
@@ -108,12 +108,11 @@ class Gen : public NameGen {
   }
 
   ResourceRecord record() {
-    ResourceRecord rr;
-    rr.name = name();
-    rr.rrclass = chance(0.95) ? RRClass::IN : RRClass::CH;
-    rr.ttl = u32();
-    rr.rdata = rdata(static_cast<int>(below(11)));
-    return rr;
+    Name owner = name();
+    const RRClass rrclass = chance(0.95) ? RRClass::IN : RRClass::CH;
+    const Ttl ttl = u32();
+    return ResourceRecord{std::move(owner), rrclass, ttl,
+                          rdata(static_cast<int>(below(11)))};
   }
 
   Message message() {
@@ -268,8 +267,8 @@ std::vector<ResourceRecord> grouped(const std::vector<ResourceRecord>& in) {
     for (std::size_t j = i; j < in.size(); ++j) {
       if (!same(in[j])) continue;
       done[j] = true;
-      out.push_back(ResourceRecord{in[i].name, in[i].rrclass, ttl,
-                                   in[j].rdata});
+      out.push_back(ResourceRecord{in[i].name, in[j].type(), in[i].rrclass,
+                                   ttl, in[j].rdata().wire()});
     }
   }
   return out;
@@ -347,13 +346,9 @@ TEST(CodecProperty, LargeMessagesCrossThePointerRangeBoundary) {
   // ~20 KiB of TXT records interleaved with compressible owners, so some
   // owner suffixes are first seen before offset 0x3fff and some after.
   for (int i = 0; i < 90; ++i) {
-    ResourceRecord rr;
-    rr.name = Name::parse("host" + std::to_string(i % 7) + ".example.nl");
-    rr.ttl = 60;
-    TxtRdata txt;
-    txt.append(std::string(200 + gen.below(55), 'x'));
-    rr.rdata = txt;
-    m.answers.push_back(rr);
+    m.answers.push_back(ResourceRecord{
+        Name::parse("host" + std::to_string(i % 7) + ".example.nl"),
+        RRClass::IN, 60, TxtRdata{{std::string(200 + gen.below(55), 'x')}}});
     if (i % 9 == 0) {
       m.answers.push_back(ResourceRecord{
           Name::parse("late" + std::to_string(i) + ".suffix.family" +

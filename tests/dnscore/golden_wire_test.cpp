@@ -40,17 +40,17 @@ TEST(GoldenWire, CompressedNsReferralDecodes) {
   const Name zone = Name::parse("example.nl");
   EXPECT_EQ(m.authorities[0].name, zone);
   EXPECT_EQ(m.authorities[1].name, zone);
-  EXPECT_EQ(std::get<NsRdata>(m.authorities[0].rdata).nsdname,
+  EXPECT_EQ(m.authorities[0].rdata().target(),
             Name::parse("ns1.example.nl"));
-  EXPECT_EQ(std::get<NsRdata>(m.authorities[1].rdata).nsdname,
+  EXPECT_EQ(m.authorities[1].rdata().target(),
             Name::parse("ns2.example.nl"));
 
   ASSERT_EQ(m.additionals.size(), 2u);
   EXPECT_EQ(m.additionals[0].name, Name::parse("ns1.example.nl"));
-  EXPECT_EQ(std::get<ARdata>(m.additionals[0].rdata).address,
+  EXPECT_EQ(m.additionals[0].rdata().a(),
             net::IpAddress::from_octets(10, 0, 0, 1));
   EXPECT_EQ(m.additionals[1].name, Name::parse("ns2.example.nl"));
-  EXPECT_EQ(std::get<ARdata>(m.additionals[1].rdata).address,
+  EXPECT_EQ(m.additionals[1].rdata().a(),
             net::IpAddress::from_octets(10, 0, 0, 2));
 }
 

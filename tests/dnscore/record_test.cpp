@@ -22,13 +22,19 @@ std::vector<RRset> group(const std::vector<ResourceRecord>& records) {
   return sets;
 }
 
+/// The uncompressed wire form of `rdata`.
+std::vector<std::uint8_t> wire_of(const Rdata& rdata) {
+  const ResourceRecord rr{Name{}, RRClass::IN, 0, rdata};
+  return {rr.rdata().wire().begin(), rr.rdata().wire().end()};
+}
+
 RRset set_of(RRType type, std::initializer_list<Rdata> rdatas) {
   RRset set{Name::parse("x.nl"), RRClass::IN, type, 60, {}};
-  for (const Rdata& rd : rdatas) set.add(rd);
+  for (const Rdata& rd : rdatas) set.add(wire_of(rd));
   return set;
 }
 
-std::vector<std::uint8_t> wire_of(const Name& name) {
+std::vector<std::uint8_t> name_wire(const Name& name) {
   std::vector<std::uint8_t> out{name.wire().begin(), name.wire().end()};
   out.push_back(0);
   return out;
@@ -39,6 +45,22 @@ TEST(Record, TypeComesFromRdata) {
   const ResourceRecord txt{Name::parse("x.nl"), RRClass::IN, 5,
                            TxtRdata{{"v"}}};
   EXPECT_EQ(txt.type(), RRType::TXT);
+  EXPECT_EQ(txt.rdata().type(), RRType::TXT);
+  EXPECT_EQ(txt.rdata().wire().size(), 2u);
+}
+
+TEST(Record, SoaWithTwoLongInlineNamesStaysInline) {
+  // Two names of Name's full inline size (38 label octets, 39 on the wire).
+  const Name mname = Name::parse(std::string(34, 'm') + ".nl");
+  const Name rname = Name::parse(std::string(34, 'r') + ".nl");
+  ASSERT_FALSE(mname.spilled());
+  ASSERT_EQ(mname.wire_length(), 39u);
+  const std::uint64_t before = RecordRdata::heap_spills();
+  const ResourceRecord soa{Name::parse("nl"), RRClass::IN, 60,
+                           SoaRdata{mname, rname, 1, 2, 3, 4, 5}};
+  EXPECT_FALSE(soa.spilled());
+  EXPECT_EQ(soa.rdata().wire().size(), 98u);
+  EXPECT_EQ(RecordRdata::heap_spills(), before);
 }
 
 TEST(Record, ToStringIsPresentationLine) {
@@ -54,8 +76,8 @@ TEST(RRset, ToRecordsExpandsAll) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].ttl, 60u);
   EXPECT_EQ(records[0].name, set.name);
-  EXPECT_EQ(records[0].rdata, Rdata{ARdata{net::IpAddress{1}}});
-  EXPECT_EQ(records[1].rdata, Rdata{ARdata{net::IpAddress{2}}});
+  EXPECT_EQ(records[0], a_record("x.nl", 1));
+  EXPECT_EQ(records[1], a_record("x.nl", 2));
 }
 
 TEST(RRset, ViewsReadTypedFields) {
@@ -74,13 +96,14 @@ TEST(RRset, ViewsReadTypedFields) {
                300};
   const RRset soa_set = set_of(RRType::SOA, {soa});
   EXPECT_EQ(soa_set.front().soa_minimum(), 300u);
-  EXPECT_EQ(soa_set.front().to_rdata(), Rdata{soa});
+  EXPECT_EQ(soa_set.front().soa_serial(), 1u);
+  EXPECT_EQ(rdata_to_string(soa_set.front()), "ns.x.nl. h.x.nl. 1 2 3 4 300");
 }
 
 TEST(RRset, DropsExactDuplicates) {
   RRset set = set_of(RRType::A, {ARdata{net::IpAddress{1}}});
-  EXPECT_FALSE(set.add(ARdata{net::IpAddress{1}}));
-  EXPECT_TRUE(set.add(ARdata{net::IpAddress{2}}));
+  EXPECT_FALSE(set.add(wire_of(ARdata{net::IpAddress{1}})));
+  EXPECT_TRUE(set.add(wire_of(ARdata{net::IpAddress{2}})));
   EXPECT_EQ(set.size(), 2u);
 }
 
@@ -96,7 +119,7 @@ TEST(RRset, EmptyRdataIsOneEntry) {
   EXPECT_FALSE(set.empty());
   ASSERT_EQ(set.size(), 1u);
   EXPECT_TRUE(set.front().wire().empty());
-  EXPECT_EQ(set.front().to_rdata(), Rdata{TxtRdata{}});
+  EXPECT_EQ(set.front().txt().begin(), set.front().txt().end());
 }
 
 TEST(RRset, BlockPastInlineCapacitySpillsOnce) {
@@ -107,7 +130,7 @@ TEST(RRset, BlockPastInlineCapacitySpillsOnce) {
                          ARdata{net::IpAddress{3}}});
   EXPECT_FALSE(set.block.spilled());
   RRset big = set;
-  big.add(ARdata{net::IpAddress{4}});
+  big.add(wire_of(ARdata{net::IpAddress{4}}));
   EXPECT_TRUE(big.block.spilled());
   EXPECT_EQ(RdataBlock::heap_spills() - before, 1u);
   const RRset copy = big;  // a deep copy of the heap block
@@ -124,11 +147,12 @@ TEST(RRset, HoldsA65535OctetRdata) {
   EXPECT_TRUE(set.block.spilled());
   EXPECT_EQ(set.block.bytes().size(), 65'537u);
   ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.front().to_rdata(), Rdata{raw});
+  EXPECT_TRUE(std::ranges::equal(set.front().wire(), raw.data));
   raw.data.push_back(0);
+  EXPECT_THROW(wire_of(raw), WireError);
   RRset over{Name::parse("x.nl"), RRClass::IN, static_cast<RRType>(0xff00),
              60, {}};
-  EXPECT_THROW(over.add(raw), WireError);
+  EXPECT_THROW(over.add(raw.data), WireError);
   EXPECT_TRUE(over.empty());
 }
 
@@ -143,9 +167,9 @@ TEST(RRset, CompressedNsTargetIsStoredUncompressed) {
   ASSERT_EQ(sets.size(), 1u);
   ASSERT_EQ(sets[0].size(), 2u);
   EXPECT_TRUE(std::ranges::equal(sets[0].front().wire(),
-                                 wire_of(Name::parse("ns1.example.nl"))));
+                                 name_wire(Name::parse("ns1.example.nl"))));
   EXPECT_TRUE(std::ranges::equal((*std::next(sets[0].begin())).wire(),
-                                 wire_of(Name::parse("ns2.example.nl"))));
+                                 name_wire(Name::parse("ns2.example.nl"))));
 }
 
 TEST(RRset, CaseIsPreserved) {

@@ -226,8 +226,12 @@ TEST(CharString, RoundTrip) {
   w.char_string("hello");
   w.char_string("");
   WireReader r{w.data()};
-  EXPECT_EQ(r.char_string(), "hello");
-  EXPECT_EQ(r.char_string(), "");
+  const auto read = [&r] {
+    const std::span<const std::uint8_t> s = r.view(r.u8());
+    return std::string(s.begin(), s.end());
+  };
+  EXPECT_EQ(read(), "hello");
+  EXPECT_EQ(read(), "");
 }
 
 TEST(CharString, MaxLengthEnforced) {

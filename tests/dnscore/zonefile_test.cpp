@@ -20,8 +20,7 @@ TEST(ZoneFile, ParsesSimpleARecord) {
   EXPECT_EQ(records[0].name, Name::parse("www.example.nl"));
   EXPECT_EQ(records[0].ttl, 300u);
   EXPECT_EQ(records[0].type(), RRType::A);
-  EXPECT_EQ(std::get<ARdata>(records[0].rdata).address.to_string(),
-            "192.0.2.1");
+  EXPECT_EQ(records[0].rdata().a().to_string(), "192.0.2.1");
 }
 
 TEST(ZoneFile, AbsoluteNamesNotQualified) {
@@ -36,8 +35,7 @@ TEST(ZoneFile, AtSignMeansOrigin) {
   const auto records =
       parse_zone_text("@ IN NS ns1\n", opts("example.nl"));
   EXPECT_EQ(records[0].name, Name::parse("example.nl"));
-  EXPECT_EQ(std::get<NsRdata>(records[0].rdata).nsdname,
-            Name::parse("ns1.example.nl"));
+  EXPECT_EQ(records[0].rdata().target(), Name::parse("ns1.example.nl"));
 }
 
 TEST(ZoneFile, OriginDirectiveChangesQualification) {
@@ -92,34 +90,31 @@ TEST(ZoneFile, ParenthesesJoinLines) {
       ")\n",
       opts());
   ASSERT_EQ(records.size(), 1u);
-  const auto& soa = std::get<SoaRdata>(records[0].rdata);
-  EXPECT_EQ(soa.serial, 2017041201u);
-  EXPECT_EQ(soa.refresh, 14400u);
-  EXPECT_EQ(soa.retry, 3600u);
-  EXPECT_EQ(soa.expire, 1209600u);
-  EXPECT_EQ(soa.minimum, 300u);
-  EXPECT_EQ(soa.mname, Name::parse("ns1.example.nl"));
+  EXPECT_EQ(rdata_to_string(records[0].rdata()),
+            "ns1.example.nl. hostmaster.example.nl. 2017041201 14400 3600 "
+            "1209600 300");
 }
 
 TEST(ZoneFile, QuotedTxtStrings) {
   const auto records = parse_zone_text(
       "info IN TXT \"hello world\" \"second; not a comment\"\n", opts());
-  const auto& txt = std::get<TxtRdata>(records[0].rdata);
-  ASSERT_EQ(txt.strings().size(), 2u);
-  EXPECT_EQ(txt.strings()[0], "hello world");
-  EXPECT_EQ(txt.strings()[1], "second; not a comment");
+  const auto txt = records[0].rdata().txt();
+  const std::vector<std::string_view> strings(txt.begin(), txt.end());
+  ASSERT_EQ(strings.size(), 2u);
+  EXPECT_EQ(strings[0], "hello world");
+  EXPECT_EQ(strings[1], "second; not a comment");
 }
 
 TEST(ZoneFile, TxtRoundTripsThroughZoneText) {
-  // Several strings, an empty one, a maximal one, and RDATA past
-  // TxtRdata's inline capacity.
+  // Several strings, an empty one, a maximal one, and RDATA past a
+  // record's inline capacity.
   const std::vector<ResourceRecord> records{
       {Name::parse("a.example.nl"), RRClass::IN, 300,
        TxtRdata{{"hello world", "", "x"}}},
       {Name::parse("b.example.nl"), RRClass::IN, 300,
        TxtRdata{{std::string(255, 'z'), "tail"}}},
   };
-  ASSERT_TRUE(std::get<TxtRdata>(records[1].rdata).spilled());
+  ASSERT_TRUE(records[1].spilled());
   const auto parsed = parse_zone_text(to_zone_text(records), opts());
   EXPECT_EQ(parsed, records);
 }
@@ -132,9 +127,7 @@ TEST(ZoneFile, TxtStringOver255OctetsRejected) {
 TEST(ZoneFile, MxPreferenceParsed) {
   const auto records =
       parse_zone_text("@ IN MX 10 mail\n", opts());
-  const auto& mx = std::get<MxRdata>(records[0].rdata);
-  EXPECT_EQ(mx.preference, 10);
-  EXPECT_EQ(mx.exchange, Name::parse("mail.example.nl"));
+  EXPECT_EQ(rdata_to_string(records[0].rdata()), "10 mail.example.nl.");
 }
 
 TEST(ZoneFile, SrvAndCaaAndAaaa) {
@@ -144,14 +137,13 @@ TEST(ZoneFile, SrvAndCaaAndAaaa) {
       "v6 IN AAAA 2001:db8::1\n",
       opts());
   ASSERT_EQ(records.size(), 3u);
-  const auto& srv = std::get<SrvRdata>(records[0].rdata);
-  EXPECT_EQ(srv.port, 5060);
-  const auto& caa = std::get<CaaRdata>(records[1].rdata);
-  EXPECT_EQ(caa.tag, "issue");
-  const auto& v6 = std::get<AaaaRdata>(records[2].rdata);
-  EXPECT_EQ(v6.address[0], 0x20);
-  EXPECT_EQ(v6.address[1], 0x01);
-  EXPECT_EQ(v6.address[15], 0x01);
+  EXPECT_EQ(rdata_to_string(records[0].rdata()),
+            "10 60 5060 sip.example.nl.");
+  EXPECT_EQ(rdata_to_string(records[1].rdata()), "0 issue \"ca.example.net\"");
+  const auto v6 = records[2].rdata().aaaa();
+  EXPECT_EQ(v6[0], 0x20);
+  EXPECT_EQ(v6[1], 0x01);
+  EXPECT_EQ(v6[15], 0x01);
 }
 
 TEST(ZoneFile, WildcardOwnerAllowed) {
@@ -162,11 +154,20 @@ TEST(ZoneFile, WildcardOwnerAllowed) {
 }
 
 TEST(ZoneFile, ErrorsCarryLineNumbers) {
-  try {
-    parse_zone_text("www IN A 192.0.2.1\nbad IN A not-an-ip\n", opts());
-    FAIL() << "expected ZoneParseError";
-  } catch (const ZoneParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
+  // Each bad second line: a field, RDATA past 65,535 octets (258 strings
+  // of 255), a CAA tag past 255 octets, a malformed name.
+  std::string txt = "t IN TXT";
+  for (int i = 0; i < 258; ++i) txt += " \"" + std::string(255, 'x') + "\"";
+  for (const std::string& bad :
+       {std::string{"bad IN A not-an-ip"}, txt,
+        "@ IN CAA 0 " + std::string(256, 't') + " \"v\"",
+        std::string{"www IN CNAME a..b"}}) {
+    try {
+      parse_zone_text("www IN A 192.0.2.1\n" + bad + "\n", opts());
+      ADD_FAILURE() << "expected ZoneParseError: " << bad.substr(0, 40);
+    } catch (const ZoneParseError& e) {
+      EXPECT_EQ(e.line(), 2u) << bad.substr(0, 40);
+    }
   }
 }
 
@@ -202,9 +203,9 @@ TEST(ZoneFile, Ipv6Forms) {
       "b IN AAAA fe80::\n"
       "c IN AAAA 1:2:3:4:5:6:7:8\n",
       opts());
-  EXPECT_EQ(std::get<AaaaRdata>(records[0].rdata).address[15], 1);
-  EXPECT_EQ(std::get<AaaaRdata>(records[1].rdata).address[0], 0xfe);
-  EXPECT_EQ(std::get<AaaaRdata>(records[2].rdata).address[15], 8);
+  EXPECT_EQ(records[0].rdata().aaaa()[15], 1);
+  EXPECT_EQ(records[1].rdata().aaaa()[0], 0xfe);
+  EXPECT_EQ(records[2].rdata().aaaa()[15], 8);
 }
 
 TEST(ZoneFile, ToZoneTextRoundTripsThroughParser) {

@@ -36,7 +36,7 @@ TEST(Ipv6, DualStackTestbedPublishesAaaaGlue) {
     if (rr.type() == dns::RRType::AAAA) {
       saw_aaaa = true;
       const auto mapped = net::IpAddress::from_mapped_ipv6(
-          std::get<dns::AaaaRdata>(rr.rdata).address);
+          rr.rdata().aaaa());
       ASSERT_TRUE(mapped.has_value());
       // v6-plane pool is 253.0.0.0/8.
       EXPECT_EQ(mapped->bits() >> 24, 253u);

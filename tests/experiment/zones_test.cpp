@@ -34,8 +34,7 @@ TEST(BuildZone, ApexNsAndGlue) {
   EXPECT_EQ(ns->size(), 2u);
   const auto glue = zone.glue_for(dns::Name::parse("ns1.dns.nl"));
   ASSERT_EQ(glue.size(), 1u);
-  EXPECT_EQ(std::get<dns::ARdata>(glue[0].rdata).address,
-            net::IpAddress{11});
+  EXPECT_EQ(glue[0].rdata().a(), net::IpAddress{11});
 }
 
 TEST(BuildZone, DelegationsReferWithGlue) {
@@ -64,7 +63,7 @@ TEST(BuildZone, WildcardTxtAnswersAnyLabel) {
   EXPECT_EQ(result.disposition, authns::Disposition::Wildcard);
   ASSERT_EQ(result.answers.size(), 1u);
   EXPECT_EQ(result.answers[0].ttl, 5u);  // the paper's cache-defeating TTL
-  EXPECT_EQ(std::get<dns::TxtRdata>(result.answers[0].rdata).strings()[0],
+  EXPECT_EQ(*result.answers[0].rdata().txt().begin(),
             "FRA");
 }
 

@@ -167,7 +167,7 @@ TEST(ResolverPipeline, DuplicateQnamesCoalesceOntoOneFetchTree) {
   for (const auto& o : outcomes) {
     EXPECT_EQ(o.rcode, dns::Rcode::NoError);
     ASSERT_FALSE(o.answers.empty());
-    EXPECT_EQ(std::get<dns::TxtRdata>(o.answers[0].rdata).strings().at(0),
+    EXPECT_EQ(*o.answers[0].rdata().txt().begin(),
               "A1");
   }
   EXPECT_EQ(world.root->queries_received(), 1u);

@@ -18,12 +18,18 @@ net::SimTime at_s(double s) {
   return net::SimTime::origin() + net::Duration::seconds(s);
 }
 
+/// The uncompressed wire form of `rdata`, as an RRset stores it.
+std::vector<std::uint8_t> wire_of(const dns::Rdata& rdata) {
+  const dns::ResourceRecord rr{dns::Name{}, dns::RRClass::IN, 0, rdata};
+  return {rr.rdata().wire().begin(), rr.rdata().wire().end()};
+}
+
 dns::RRset a_set(const char* name, dns::Ttl ttl, std::uint32_t ip = 1) {
   dns::RRset set;
   set.name = dns::Name::parse(name);
   set.type = dns::RRType::A;
   set.ttl = ttl;
-  set.add(dns::ARdata{net::IpAddress{ip}});
+  set.add(wire_of(dns::ARdata{net::IpAddress{ip}}));
   return set;
 }
 
@@ -132,7 +138,7 @@ TEST(RecordCache, OneTxtEntryCostsAtMost160Bytes) {
     dns::RRset set{
         dns::Name::parse("p" + std::to_string(i) + ".ourtestdomain.nl"),
         dns::RRClass::IN, dns::RRType::TXT, 5, {}};
-    set.add(dns::TxtRdata{{"FRA"}});
+    set.add(wire_of(dns::TxtRdata{{"FRA"}}));
     cache.put(std::move(set), at_s(0));
   }
   ASSERT_EQ(cache.size(), kEntries);
@@ -218,7 +224,7 @@ TEST(RecordCache, HitSurvivesALookupThatErasesAnotherExpiredEntry) {
   ns.type = dns::RRType::NS;
   ns.ttl = 3600;
   for (const char* host : {"ns1.dns.nl", "ns2.dns.nl", "ns3.dns.nl"}) {
-    ns.add(dns::NsRdata{dns::Name::parse(host)});
+    ns.add(wire_of(dns::NsRdata{dns::Name::parse(host)}));
   }
   cache.put(ns, at_s(0));
   for (int i = 0; i < 40; ++i) {
@@ -418,7 +424,8 @@ TEST(RecordCache, MatchesTheMapAndListReference) {
           set.type = type;
           set.ttl = static_cast<dns::Ttl>(pick(9));  // some above max_ttl
           for (std::uint64_t i = 1 + pick(3); i > 0; --i) {
-            set.add(dns::TxtRdata{{std::to_string(op), std::to_string(i)}});
+            set.add(wire_of(
+                dns::TxtRdata{{std::to_string(op), std::to_string(i)}}));
           }
           cache.put(set, now);
           ref.put(set, now);

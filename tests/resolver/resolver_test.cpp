@@ -133,7 +133,7 @@ struct MiniInternet {
 std::string txt_of(const ResolveOutcome& out) {
   for (const auto& rr : out.answers) {
     if (rr.type() == dns::RRType::TXT) {
-      return std::get<dns::TxtRdata>(rr.rdata).strings().at(0);
+      return std::string{*rr.rdata().txt().begin()};
     }
   }
   return "";
@@ -394,7 +394,7 @@ TEST(Resolver, ChaosIdentityAnsweredLocally) {
   // The RECURSIVE's identity, not any authoritative's — the paper's reason
   // for using IN-class TXT payloads instead of CHAOS queries (§3.1).
   EXPECT_EQ(
-      std::get<dns::TxtRdata>(answers[0].answers.at(0).rdata).strings()[0],
+      *answers[0].answers.at(0).rdata().txt().begin(),
       "test-recursive");
   // No upstream traffic resulted.
   EXPECT_EQ(world.resolver->upstream_sent(), 0u);

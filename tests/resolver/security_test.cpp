@@ -177,8 +177,7 @@ TEST(Security, MismatchedResponsesIgnored) {
               [&](const ResolveOutcome& out) {
                 for (const auto& rr : out.answers) {
                   if (rr.type() == dns::RRType::TXT) {
-                    answer = std::get<dns::TxtRdata>(rr.rdata)
-                                 .strings().at(0);
+                    answer = *rr.rdata().txt().begin();
                   }
                 }
               });
@@ -205,9 +204,7 @@ TEST(Security, MismatchedResponsesIgnored) {
       res.cache().get(dns::Name::parse("target.test"), dns::RRType::TXT,
                       sim.now());
   ASSERT_TRUE(cached);
-  EXPECT_EQ(std::get<dns::TxtRdata>(cached.rrset->front().to_rdata())
-                .strings()[0],
-            "legit");
+  EXPECT_EQ(*cached.rrset->front().txt().begin(), "legit");
 }
 
 TEST(Security, LateResponseAfterTimeoutIgnored) {
@@ -325,8 +322,7 @@ TEST(Security, ResponseFromWrongSourcePortIgnored) {
               [&](const ResolveOutcome& out) {
                 for (const auto& rr : out.answers) {
                   if (rr.type() == dns::RRType::TXT) {
-                    answer =
-                        std::get<dns::TxtRdata>(rr.rdata).strings().at(0);
+                    answer = *rr.rdata().txt().begin();
                   }
                 }
               });

@@ -34,7 +34,7 @@ struct World {
               dns::ARdata{auth_addr}});
     // ~1.5 KiB of TXT data: over plain-UDP 512 and over EDNS 1232.
     dns::TxtRdata big;
-    for (int i = 0; i < 6; ++i) big.append(std::string(250, 'x'));
+    for (int i = 0; i < 6; ++i) big.strings.push_back(std::string(250, 'x'));
     zone.add({dns::Name::parse("big.test"), dns::RRClass::IN, 300,
               std::move(big)});
     zone.add({dns::Name::parse("small.test"), dns::RRClass::IN, 300,
@@ -74,8 +74,8 @@ TEST(TcpFallback, TruncatedAnswerRetriedOverTcp) {
   const auto out = w.resolve("big.test");
   EXPECT_EQ(out.rcode, dns::Rcode::NoError);
   ASSERT_EQ(out.answers.size(), 1u);
-  EXPECT_EQ(std::get<dns::TxtRdata>(out.answers[0].rdata).strings().size(),
-            6u);
+  const auto txt = out.answers[0].rdata().txt();
+  EXPECT_EQ(std::distance(txt.begin(), txt.end()), 6);
   EXPECT_EQ(w.resolver->tcp_retries(), 1u);
   // UDP try + TCP retry.
   EXPECT_EQ(out.upstream_queries, 2);

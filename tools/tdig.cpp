@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     const dns::Message resp = dns::decode_message(result->wire);
     if (short_out) {
       for (const auto& rr : resp.answers) {
-        std::cout << dns::rdata_to_string(rr.rdata) << "\n";
+        std::cout << dns::rdata_to_string(rr.rdata()) << "\n";
       }
     } else {
       std::cout << resp.to_string();
