@@ -197,42 +197,8 @@ Population materialize_population(
     net::Network& network, const PopulationPlan& plan,
     const PopulationConfig& config,
     const std::vector<resolver::RootHint>& hints,
-    const std::vector<std::size_t>* partition, bool adopt_into_network) {
+    const std::vector<std::size_t>* partition) {
   Population pop;
-
-  if (adopt_into_network) {
-    // Standalone path (no shared catalog): replay the plan's node and
-    // address sequences onto the network so ids line up with the plan.
-    std::vector<std::pair<net::NodeId, const void*>> order;
-    struct Named {
-      std::string name;
-      net::GeoPoint point;
-    };
-    std::vector<std::pair<net::NodeId, Named>> nodes;
-    nodes.reserve(plan.recursives.size() + plan.vp_count());
-    for (const auto& rp : plan.recursives) {
-      nodes.push_back({rp.node, {recursive_name(rp), rp.location}});
-    }
-    for (std::size_t v = 0; v < plan.vp_count(); ++v) {
-      nodes.push_back({plan.vp_node[v],
-                       {"probe-" + std::to_string(v), plan.vp_location[v]}});
-    }
-    std::sort(nodes.begin(), nodes.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, info] : nodes) {
-      const net::NodeId got =
-          network.add_node(std::move(info.name), info.point);
-      if (got != id) {
-        throw std::logic_error{
-            "materialize_population: node id drifted from the plan"};
-      }
-    }
-    const std::size_t addr_count =
-        plan.recursives.size() + plan.forwarders.size() + plan.vp_count();
-    for (std::size_t i = 0; i < addr_count; ++i) {
-      (void)network.allocate_address();
-    }
-  }
 
   // Partition closure: which recursives/forwarders this population needs.
   std::vector<char> need_rec(plan.recursives.size(),
@@ -319,19 +285,6 @@ Population materialize_population(
     for (const std::size_t v : *partition) materialize_vp(v);
   }
   return pop;
-}
-
-Population build_population(net::Network& network,
-                            const PopulationConfig& config,
-                            const std::vector<resolver::RootHint>& hints,
-                            stats::Rng rng) {
-  net::NodeCatalog catalog;
-  catalog.first_id = static_cast<net::NodeId>(network.node_count());
-  catalog.next_addr = network.next_host();
-  const PopulationPlan plan = plan_population(catalog, config, rng);
-  return materialize_population(network, plan, config, hints,
-                                /*partition=*/nullptr,
-                                /*adopt_into_network=*/true);
 }
 
 }  // namespace recwild::client

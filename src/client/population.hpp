@@ -191,7 +191,7 @@ class Population {
       net::Network& network, const PopulationPlan& plan,
       const PopulationConfig& config,
       const std::vector<resolver::RootHint>& hints,
-      const std::vector<std::size_t>* partition, bool adopt_into_network);
+      const std::vector<std::size_t>* partition);
 
  private:
   /// Declared first so it outlives (is destroyed after) the raw pointers
@@ -210,27 +210,17 @@ PopulationPlan plan_population(net::NodeCatalog& catalog,
                                stats::Rng rng);
 
 /// Materializes live stubs/forwarders/recursives from a plan onto
-/// `network`, allocated from the returned Population's arena.
+/// `network`, which must be built over the catalog the plan was made in
+/// (Network's `base`), allocated from the returned Population's arena.
+/// `hints` bootstraps every recursive (root hints file).
 ///
 /// `partition` (ascending probe ids) restricts materialization to those
 /// vantage points plus the closure of forwarders/recursives they can
-/// reach; nullptr materializes everything. `adopt_into_network` replays
-/// the plan's node additions and address allocations onto `network` (the
-/// standalone path, for networks without a shared base catalog); worlds
-/// whose Network was built over the plan's catalog pass false.
+/// reach; nullptr materializes everything.
 Population materialize_population(
     net::Network& network, const PopulationPlan& plan,
     const PopulationConfig& config,
     const std::vector<resolver::RootHint>& hints,
-    const std::vector<std::size_t>* partition = nullptr,
-    bool adopt_into_network = false);
-
-/// Creates probes, ISP recursives and public recursives on `network`.
-/// `hints` bootstraps every recursive (root hints file). One-shot
-/// plan+materialize; kept for direct users of a plain Network.
-Population build_population(net::Network& network,
-                            const PopulationConfig& config,
-                            const std::vector<resolver::RootHint>& hints,
-                            stats::Rng rng);
+    const std::vector<std::size_t>* partition = nullptr);
 
 }  // namespace recwild::client

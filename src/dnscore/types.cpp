@@ -81,25 +81,4 @@ std::optional<RRClass> rrclass_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-bool is_supported_rdata_type(RRType t) noexcept {
-  switch (t) {
-    case RRType::A:
-    case RRType::NS:
-    case RRType::CNAME:
-    case RRType::SOA:
-    case RRType::PTR:
-    case RRType::MX:
-    case RRType::TXT:
-    case RRType::AAAA:
-    case RRType::SRV:
-    case RRType::OPT:
-    case RRType::CAA:
-      return true;
-    case RRType::ANY:
-    case RRType::AXFR:
-      return false;
-  }
-  return false;
-}
-
 }  // namespace recwild::dns

@@ -54,7 +54,4 @@ std::string_view to_string(Rcode r) noexcept;
 std::optional<RRType> rrtype_from_string(std::string_view s) noexcept;
 std::optional<RRClass> rrclass_from_string(std::string_view s) noexcept;
 
-/// True for types this library can encode/decode typed RDATA for.
-bool is_supported_rdata_type(RRType t) noexcept;
-
 }  // namespace recwild::dns

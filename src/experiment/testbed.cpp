@@ -25,7 +25,7 @@ Testbed::Testbed(std::shared_ptr<const WorldSnapshot> world,
   if (config.build_population) {
     population_ = client::materialize_population(
         *network_, world_->population, config.population, world_->hints,
-        partition, /*adopt_into_network=*/false);
+        partition);
   }
 
   apply_drains();

@@ -16,9 +16,39 @@ constexpr net::Port kUpstreamPort = 10'053;
 /// (a referral's NS set and glue) is released once it has been handled.
 constexpr std::size_t kRetainedRecords = 1;
 
+/// With SRTT knowledge, the base retransmission timeout is this many SRTTs.
+constexpr double kRetransFactor = 3.0;
+/// Upper bound on referral depth + CNAME chases of one resolution.
+constexpr int kMaxIndirections = 12;
+
 }  // namespace
 
+/// One upstream query, live from send_upstream until its reply matches or
+/// its timeout fires.
+struct RecursiveResolver::Transmission {
+  dns::Name qname;
+  net::SimTime sent_at;
+  net::EventId timeout_event = 0;
+  net::IpAddress server;
+  /// qname's id in qnames_ — response matching compares this 32-bit id
+  /// instead of walking label vectors per transmission.
+  dns::NameRef qname_ref;
+  /// The next slot on this qname's by_qname_ list.
+  std::uint32_t next = kNoJob;
+  /// The destination port the query was sent to. Response matching
+  /// requires the source endpoint — address AND port — to be the one we
+  /// queried; accepting any port on the right address lets an off-path
+  /// host that never saw the query inject from an unprivileged socket.
+  net::Port server_port = net::kDnsPort;
+  dns::RRType qtype{};
+  std::uint16_t txid = 0;
+  bool minimized = false;  // qname/qtype differ from the client question
+  bool via_tcp = false;
+};
+
 struct RecursiveResolver::Job {
+  /// This slot and its current generation.
+  JobRef ref;
   dns::Question original;
   dns::Name current_name;
   /// QNAME minimization: minimum label count to expose next (grows past
@@ -30,16 +60,16 @@ struct RecursiveResolver::Job {
   int upstream_count = 0;
   int indirections = 0;
   bool done = false;
+  /// Holds an admission slot (pipelined front door); finish() releases it.
+  bool admitted = false;
+  /// The transmission below is in flight. It outlives the job (done) when
+  /// the deadline fires first.
+  bool tx_live = false;
   dns::Name current_zone;
   std::vector<net::IpAddress> failed_servers;
   /// Bounded-work safety net: key of the shared DeadlineBatch this job is
-  /// registered on (absolute expiry, microseconds) and the job's slot in
-  /// its member list, valid while in_deadline_batch.
+  /// registered on (absolute expiry, microseconds).
   std::int64_t deadline_key = 0;
-  std::size_t deadline_slot = 0;
-  bool in_deadline_batch = false;
-  /// Holds an admission slot (pipelined front door); finish() releases it.
-  bool admitted = false;
   /// Glueless-NS address fetches this job is parked on; stepped again when
   /// the last one lands (see maybe_fetch_ns_addresses).
   int pending_fetches = 0;
@@ -47,6 +77,8 @@ struct RecursiveResolver::Job {
   /// children inherit the pointer, so max_fetches_per_resolution bounds the
   /// walk end to end. Allocated lazily at the first glueless referral.
   std::shared_ptr<std::uint32_t> fetch_budget;
+  /// The job's one upstream transmission, valid while tx_live.
+  Transmission tx;
 };
 
 RecursiveResolver::RecursiveResolver(net::Network& network, net::NodeId node,
@@ -117,26 +149,68 @@ void RecursiveResolver::flush_caches() {
 
 void RecursiveResolver::compact_qnames() {
   qnames_.clear();
-  for (auto& [txkey, out] : outstanding_) {
-    out.qname_ref = qnames_.intern(out.qname);
-  }
-  by_qname_.assign(qnames_.size(), {});
-  for (const auto& [txkey, out] : outstanding_) {
-    track_outstanding(out.qname_ref, txkey);
+  by_qname_.clear();
+  for (const auto& job : jobs_) {
+    if (job && job->tx_live) link_transmission(*job);
   }
 }
 
-void RecursiveResolver::track_outstanding(dns::NameRef ref,
-                                          std::uint64_t txkey) {
-  if (by_qname_.size() <= ref.value) by_qname_.resize(ref.value + 1);
-  QnameOutstanding& slot = by_qname_[ref.value];
-  slot.txkey = slot.count++ == 0 ? txkey : 0;
+void RecursiveResolver::link_transmission(Job& job) {
+  Transmission& tx = job.tx;
+  tx.qname_ref = qnames_.intern(tx.qname);
+  if (by_qname_.size() <= tx.qname_ref.value) {
+    by_qname_.resize(tx.qname_ref.value + 1, kNoJob);
+  }
+  tx.next = by_qname_[tx.qname_ref.value];
+  by_qname_[tx.qname_ref.value] = job.ref.index;
 }
 
-void RecursiveResolver::untrack_outstanding(dns::NameRef ref) noexcept {
-  QnameOutstanding& slot = by_qname_[ref.value];
-  --slot.count;
-  slot.txkey = 0;  // gone, or the survivor is unknown
+void RecursiveResolver::end_transmission(Job& job) {
+  std::uint32_t* link = &by_qname_[job.tx.qname_ref.value];
+  while (*link != job.ref.index) link = &jobs_[*link]->tx.next;
+  *link = job.tx.next;
+  job.tx_live = false;
+  --live_transmissions_;
+  if (config_.fetches_per_zone > 0) {
+    const auto it = zone_outstanding_.find(job.current_zone);
+    if (it != zone_outstanding_.end() && --it->second <= 0) {
+      zone_outstanding_.erase(it);
+    }
+  }
+}
+
+RecursiveResolver::Job& RecursiveResolver::new_job() {
+  auto index = static_cast<std::uint32_t>(jobs_.size());
+  if (!spare_jobs_.empty()) {
+    index = spare_jobs_.back();
+    spare_jobs_.pop_back();
+  } else if (!free_jobs_.empty()) {
+    index = free_jobs_.back();
+    free_jobs_.pop_back();
+    jobs_[index] = std::make_unique<Job>();
+  } else {
+    jobs_.push_back(std::make_unique<Job>());
+  }
+  // Generations start at 1: a spare slot's {0, 0} matches no reference.
+  jobs_[index]->ref = JobRef{index, ++jobs_started_};
+  return *jobs_[index];
+}
+
+RecursiveResolver::Job* RecursiveResolver::live_job(JobRef ref) noexcept {
+  Job* job = jobs_[ref.index].get();
+  return job != nullptr && job->ref == ref && !job->done ? job : nullptr;
+}
+
+void RecursiveResolver::free_job(Job& job) {
+  assert(job.done && !job.tx_live);
+  const std::uint32_t index = job.ref.index;
+  if (spare_jobs_.size() < kSpareJobs) {
+    job = Job{};
+    spare_jobs_.push_back(index);
+  } else {
+    jobs_[index].reset();
+    free_jobs_.push_back(index);
+  }
 }
 
 void RecursiveResolver::resolve(const dns::Question& q, ResolveCallback cb) {
@@ -154,25 +228,21 @@ void RecursiveResolver::accept(const dns::Question& q, Waiter w) {
   admit(q, std::move(waiters));
 }
 
-void RecursiveResolver::note_coalesced() {
-  if (obs_coalesced_ == nullptr) {
-    obs_coalesced_ =
-        &network_.sim().metrics().counter(obs::names::kResolverCoalesced);
-  }
-  obs_coalesced_->add(1, network_.sim().now());
+void RecursiveResolver::count_lazily(obs::Counter*& counter,
+                                     std::string_view name,
+                                     std::uint64_t n) {
+  if (counter == nullptr) counter = &network_.sim().metrics().counter(name);
+  counter->add(n, network_.sim().now());
 }
 
 void RecursiveResolver::admit(const dns::Question& q, Waiters waiters) {
   const net::SimTime now = network_.sim().now();
   // Duplicate of an in-flight chain: join its waiter list — one upstream
   // fetch tree answers everyone, and the join never consumes a slot.
-  if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
-      it != inflight_.end()) {
-    if (const auto job = it->second.lock(); job && !job->done) {
-      note_coalesced();
-      resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/false);
-      return;
-    }
+  if (inflight_.find(PendingView{q.qname, q.qtype}) != inflight_.end()) {
+    count_lazily(obs_coalesced_, obs::names::kResolverCoalesced);
+    resolve_internal(q, std::move(waiters), nullptr, /*admitted=*/false);
+    return;
   }
   // A live cached RRset answers synchronously: bypass admission (queueing
   // a pure cache hit behind upstream-bound work would be pointless).
@@ -189,18 +259,15 @@ void RecursiveResolver::admit(const dns::Question& q, Waiters waiters) {
     // Duplicate of a queued question: coalesce onto the queue entry.
     if (const auto it = queued_.find(PendingView{q.qname, q.qtype});
         it != queued_.end()) {
-      note_coalesced();
+      count_lazily(obs_coalesced_, obs::names::kResolverCoalesced);
       it->second->waiters.add_all(std::move(waiters));
       return;
     }
     if (config_.max_queued_resolutions > 0 &&
         admission_queue_.size() >=
             static_cast<std::size_t>(config_.max_queued_resolutions)) {
-      if (obs_admission_rejected_ == nullptr) {
-        obs_admission_rejected_ = &network_.sim().metrics().counter(
-            obs::names::kResolverAdmissionRejected);
-      }
-      obs_admission_rejected_->add(1, now);
+      count_lazily(obs_admission_rejected_,
+                   obs::names::kResolverAdmissionRejected);
       const ResolveOutcome outcome;  // SERVFAIL, zero elapsed/upstream
       waiters.for_each([&](Waiter& w) { notify(w, outcome); });
       return;
@@ -208,11 +275,7 @@ void RecursiveResolver::admit(const dns::Question& q, Waiters waiters) {
     admission_queue_.push_back(QueuedResolution{q, std::move(waiters)});
     queued_.insert_or_assign(PendingKey{q.qname, q.qtype},
                              &admission_queue_.back());
-    if (obs_admission_queued_ == nullptr) {
-      obs_admission_queued_ = &network_.sim().metrics().counter(
-          obs::names::kResolverAdmissionQueued);
-    }
-    obs_admission_queued_->add(1, now);
+    count_lazily(obs_admission_queued_, obs::names::kResolverAdmissionQueued);
     return;
   }
   ++client_inflight_;
@@ -235,13 +298,9 @@ void RecursiveResolver::drain_admission_queue() {
     admission_queue_.pop_front();
     // An identical chain may have started while this entry waited (internal
     // NS fetches bypass admission); joining it consumes no slot.
-    bool join = false;
-    if (const auto it = inflight_.find(
-            PendingView{next.question.qname, next.question.qtype});
-        it != inflight_.end()) {
-      const auto job = it->second.lock();
-      join = job && !job->done;
-    }
+    const bool join =
+        inflight_.find(PendingView{next.question.qname,
+                                   next.question.qtype}) != inflight_.end();
     if (!join) {
       ++client_inflight_;
       obs_inflight_->max_of(static_cast<double>(client_inflight_),
@@ -253,14 +312,13 @@ void RecursiveResolver::drain_admission_queue() {
   draining_ = false;
 }
 
-void RecursiveResolver::arm_deadline(const std::shared_ptr<Job>& job) {
+void RecursiveResolver::arm_deadline(Job& job) {
   // Bounded work: no resolution outlives max_resolution_time, whatever a
   // fault schedule does to the servers. Jobs expiring on the same
   // microsecond share one simulation event (pipelined chains would
   // otherwise schedule N identical deadlines); the batch's last finish()
   // cancels it, so a batch of one costs exactly the per-job event it
-  // replaces. The strong member ref also anchors the job while it waits
-  // on child NS-address fetches, which hold only weak parents.
+  // replaces.
   const net::SimTime expiry =
       network_.sim().now() + config_.max_resolution_time;
   const std::int64_t key = expiry.count_micros();
@@ -270,10 +328,8 @@ void RecursiveResolver::arm_deadline(const std::shared_ptr<Job>& job) {
     batch.event = network_.sim().at(
         expiry, [this, key] { fire_deadline_batch(key); });
   }
-  job->deadline_key = key;
-  job->deadline_slot = batch.jobs.size();
-  job->in_deadline_batch = true;
-  batch.jobs.push_back(job);
+  job.deadline_key = key;
+  batch.jobs.push_back(job.ref);
   ++batch.live;
 }
 
@@ -282,10 +338,11 @@ void RecursiveResolver::fire_deadline_batch(std::int64_t key) {
   if (it == deadline_batches_.end()) return;
   DeadlineBatch batch = std::move(it->second);
   deadline_nodes_.erase(deadline_batches_, it);
-  for (const auto& j : batch.jobs) {
-    if (!j || j->done) continue;
+  for (const JobRef ref : batch.jobs) {
+    Job* job = live_job(ref);
+    if (job == nullptr) continue;  // finished before the deadline
     obs_deadline_expired_->add(1, network_.sim().now());
-    finish(j, dns::Rcode::ServFail);
+    finish(*job, dns::Rcode::ServFail);
   }
   // One cancel per batch, after the entry is gone (finish() skipped it):
   // the same schedule/cancel bookkeeping as a normally-finished batch.
@@ -298,21 +355,18 @@ void RecursiveResolver::resolve_internal(
   // Coalesce identical in-flight questions.
   if (const auto it = inflight_.find(PendingView{q.qname, q.qtype});
       it != inflight_.end()) {
-    if (auto job = it->second.lock(); job && !job->done) {
-      job->waiters.add_all(std::move(waiters));
-      return;
-    }
-    inflight_nodes_.erase(inflight_, it);
+    jobs_[it->second.index]->waiters.add_all(std::move(waiters));
+    return;
   }
-  auto job = std::make_shared<Job>();
-  job->original = q;
-  job->current_name = q.qname;
-  job->waiters = std::move(waiters);
-  job->started_at = network_.sim().now();
-  job->fetch_budget = std::move(fetch_budget);
-  job->admitted = admitted;
+  Job& job = new_job();
+  job.original = q;
+  job.current_name = q.qname;
+  job.waiters = std::move(waiters);
+  job.started_at = network_.sim().now();
+  job.fetch_budget = std::move(fetch_budget);
+  job.admitted = admitted;
   inflight_nodes_.try_emplace(inflight_, PendingKey{q.qname, q.qtype})
-      .first->second = job;
+      .first->second = job.ref;
   arm_deadline(job);
   step(job);
 }
@@ -354,6 +408,14 @@ void RecursiveResolver::on_client_datagram(const net::Datagram& dgram) {
 void RecursiveResolver::notify(Waiter& w, const ResolveOutcome& outcome) {
   if (auto* cb = std::get_if<ResolveCallback>(&w)) {
     (*cb)(outcome);
+    return;
+  }
+  if (const auto* parent = std::get_if<JobRef>(&w)) {
+    // One NS-address fetch of a parked job landed; the last one steps it.
+    if (Job* job = live_job(*parent);
+        job != nullptr && --job->pending_fetches == 0) {
+      step(*job);
+    }
     return;
   }
   const ClientReply& c = std::get<ClientReply>(w);
@@ -408,42 +470,42 @@ void RecursiveResolver::find_zone_cut(const dns::Name& qname, dns::Name& zone,
   for (const auto& h : hints_) servers.push_back(h.address);
 }
 
-void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
-  if (job->done) return;
+void RecursiveResolver::step(Job& job) {
+  if (job.done) return;
   const net::SimTime now = network_.sim().now();
 
   // Cache walk: negative entries, direct answers, CNAME chases.
   for (;;) {
-    if (auto neg = cache_.get_negative(job->current_name,
-                                       job->original.qtype, now)) {
+    if (auto neg = cache_.get_negative(job.current_name,
+                                       job.original.qtype, now)) {
       if (trace_->enabled()) {
         trace_->record({now, obs::TraceKind::NegCacheHit, config_.name,
-                        job->current_name.to_string(),
-                        std::string{dns::to_string(job->original.qtype)},
+                        job.current_name.to_string(),
+                        std::string{dns::to_string(job.original.qtype)},
                         0.0});
       }
       finish(job, *neg);
       return;
     }
     if (const CacheHit set =
-            cache_.get(job->current_name, job->original.qtype, now)) {
+            cache_.get(job.current_name, job.original.qtype, now)) {
       if (trace_->enabled()) {
         trace_->record({now, obs::TraceKind::CacheHit, config_.name,
-                        job->current_name.to_string(),
-                        std::string{dns::to_string(job->original.qtype)},
+                        job.current_name.to_string(),
+                        std::string{dns::to_string(job.original.qtype)},
                         0.0});
       }
-      set.append_records(job->chain);
+      set.append_records(job.chain);
       finish(job, dns::Rcode::NoError);
       return;
     }
-    if (job->original.qtype != dns::RRType::CNAME) {
-      if (const CacheHit cname = cache_.get(job->current_name,
+    if (job.original.qtype != dns::RRType::CNAME) {
+      if (const CacheHit cname = cache_.get(job.current_name,
                                             dns::RRType::CNAME, now)) {
-        cname.append_records(job->chain);
-        job->current_name = cname.rrset->front().target();
-        job->min_labels = 0;  // restart minimization for the new target
-        if (++job->indirections > config_.max_indirections) {
+        cname.append_records(job.chain);
+        job.current_name = cname.rrset->front().target();
+        job.min_labels = 0;  // restart minimization for the new target
+        if (++job.indirections > kMaxIndirections) {
           finish(job, dns::Rcode::ServFail);
           return;
         }
@@ -453,21 +515,21 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
     break;
   }
 
-  if (job->upstream_count >= config_.max_upstream_queries) {
+  if (job.upstream_count >= config_.max_upstream_queries) {
     finish(job, dns::Rcode::ServFail);
     return;
   }
 
   dns::Name zone;
   net::AddressList servers;
-  find_zone_cut(job->current_name, zone, servers);
+  find_zone_cut(job.current_name, zone, servers);
   if (servers.empty()) {
     finish(job, dns::Rcode::ServFail);
     return;
   }
-  if (!(zone == job->current_zone)) {
-    job->failed_servers.clear();
-    job->current_zone = zone;
+  if (!(zone == job.current_zone)) {
+    job.failed_servers.clear();
+    job.current_zone = zone;
   }
   // Avoid servers that already failed this round, when alternatives exist.
   // Forwarder-style policies instead retry the same server.
@@ -476,20 +538,20 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
     candidates = servers;
   } else {
     for (const auto& s : servers) {
-      if (std::find(job->failed_servers.begin(), job->failed_servers.end(),
-                    s) == job->failed_servers.end()) {
+      if (std::find(job.failed_servers.begin(), job.failed_servers.end(),
+                    s) == job.failed_servers.end()) {
         candidates.push_back(s);
       }
     }
     if (candidates.empty()) {
-      job->failed_servers.clear();  // second round: retry everyone
+      job.failed_servers.clear();  // second round: retry everyone
       candidates = servers;
     }
   }
   if (trace_->enabled()) {
     trace_->record({now, obs::TraceKind::CacheMiss, config_.name,
-                    job->current_name.to_string(),
-                    std::string{dns::to_string(job->original.qtype)}, 0.0});
+                    job.current_name.to_string(),
+                    std::string{dns::to_string(job.original.qtype)}, 0.0});
   }
   // Hold-down (see InfraCache): servers that kept failing through repeated
   // probations are removed from selection; when one's probe timer is due,
@@ -513,32 +575,24 @@ void RecursiveResolver::step(const std::shared_ptr<Job>& job) {
     }
     if (!healthy.empty()) candidates = std::move(healthy);
   }
-  if (probe_due) {
-    infra_.note_probe(probe_target, now);
-    if (trace_->enabled()) {
-      const ServerStats* st = infra_.get(probe_target, now);
-      trace_->record({now, obs::TraceKind::SelectServer, config_.name,
-                      probe_target.to_string(), zone.to_string(),
-                      st != nullptr ? st->srtt_ms : -1.0});
-    }
-    send_upstream(job, zone, probe_target);
-    return;
-  }
+  if (probe_due) infra_.note_probe(probe_target, now);
   const net::IpAddress server =
-      selector_->select(zone, candidates, infra_, now, rng_);
+      probe_due ? probe_target
+                : selector_->select(zone, candidates, infra_, now, rng_);
   if (trace_->enabled()) {
     const ServerStats* st = infra_.get(server, now);
     trace_->record({now, obs::TraceKind::SelectServer, config_.name,
                     server.to_string(), zone.to_string(),
                     st != nullptr ? st->srtt_ms : -1.0});
   }
-  send_upstream(job, zone, server);
+  send_upstream(job, server);
 }
 
-void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
-                                      const dns::Name& zone,
-                                      net::IpAddress server, bool via_tcp) {
+void RecursiveResolver::send_upstream(Job& job, net::IpAddress server,
+                                      bool via_tcp) {
+  assert(!job.tx_live);  // a job has at most one transmission
   const net::SimTime now = network_.sim().now();
+  const dns::Name& zone = job.current_zone;
 
   // fetches-per-zone defense: when the target zone already carries the
   // configured number of in-flight transmissions, fail fast instead of
@@ -546,37 +600,34 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
   if (config_.fetches_per_zone > 0) {
     int& in_flight = zone_outstanding_[zone];
     if (in_flight >= config_.fetches_per_zone) {
-      if (obs_fetch_zone_capped_ == nullptr) {
-        obs_fetch_zone_capped_ = &network_.sim().metrics().counter(
-            obs::names::kResolverFetchZoneCapped);
-      }
-      obs_fetch_zone_capped_->add(1, now);
+      count_lazily(obs_fetch_zone_capped_,
+                   obs::names::kResolverFetchZoneCapped);
       finish(job, dns::Rcode::ServFail);
       return;
     }
     ++in_flight;
   }
 
-  const std::uint64_t txkey = next_txkey_++;
-  const auto txid = static_cast<std::uint16_t>(rng_.next());
+  Transmission& tx = job.tx;
+  tx.txid = static_cast<std::uint16_t>(rng_.next());
 
   // QNAME minimization: reveal only the next label to this zone's servers
   // and ask for the delegation (NS) instead of the real question.
-  dns::Name query_name = job->current_name;
-  dns::RRType query_type = job->original.qtype;
-  bool minimized = false;
+  tx.qname = job.current_name;
+  tx.qtype = job.original.qtype;
+  tx.minimized = false;
   if (config_.qname_minimization &&
-      zone.label_count() < job->current_name.label_count()) {
+      zone.label_count() < job.current_name.label_count()) {
     const std::size_t depth =
-        std::max(zone.label_count() + 1, job->min_labels);
-    if (depth < job->current_name.label_count()) {
-      query_name = job->current_name.suffix(depth);
-      query_type = dns::RRType::NS;
-      minimized = true;
+        std::max(zone.label_count() + 1, job.min_labels);
+    if (depth < job.current_name.label_count()) {
+      tx.qname = job.current_name.suffix(depth);
+      tx.qtype = dns::RRType::NS;
+      tx.minimized = true;
     }
   }
 
-  ++job->upstream_count;
+  ++job.upstream_count;
   ++upstream_sent_;
   obs_upstream_sent_->add(1, now);
 
@@ -584,33 +635,25 @@ void RecursiveResolver::send_upstream(const std::shared_ptr<Job>& job,
   // all paths, clamped inside — see retransmit_timeout).
   const net::Duration timeout = retransmit_timeout(server, now, via_tcp);
 
-  Outstanding out;
-  out.job = job;
-  if (config_.fetches_per_zone > 0) out.zone = zone;
-  out.minimized = minimized;
-  out.server = server;
-  out.qname = query_name;
   // Compaction is deterministic per resolver (a pure function of its own
-  // table and outstanding set), and NameRef ids never leave the resolver,
-  // so renumbering cannot perturb byte-identity.
+  // table and live transmissions), and NameRef ids never leave the
+  // resolver, so renumbering cannot perturb byte-identity.
   if (qnames_.size() >= kQnameCompactMin &&
-      qnames_.size() / 4 > outstanding_.size()) {
+      qnames_.size() / 4 > live_transmissions_) {
     compact_qnames();
   }
-  out.qname_ref = qnames_.intern(query_name);
-  out.qtype = query_type;
-  out.txid = txid;
-  out.via_tcp = via_tcp;
-  out.sent_at = now;
+  tx.server = server;
+  tx.via_tcp = via_tcp;
+  tx.sent_at = now;
   const net::Endpoint dst{server, net::kDnsPort};
-  out.server_port = dst.port;
-  out.timeout_event = network_.sim().after(
-      timeout, [this, txkey] { on_upstream_timeout(txkey); });
-  track_outstanding(out.qname_ref, txkey);
-  outstanding_nodes_.try_emplace(outstanding_, txkey).first->second =
-      std::move(out);
+  tx.server_port = dst.port;
+  tx.timeout_event = network_.sim().after(
+      timeout, [this, ref = job.ref] { on_upstream_timeout(ref); });
+  job.tx_live = true;
+  ++live_transmissions_;
+  link_transmission(job);
 
-  tx_.reset_query(txid, query_name, query_type);
+  tx_.reset_query(tx.txid, tx.qname, tx.qtype);
   if (config_.use_edns) tx_.edns = dns::EdnsInfo{};
   auto wire = dns::encode_message(tx_);
   if (via_tcp) {
@@ -630,7 +673,7 @@ net::Duration RecursiveResolver::retransmit_timeout(net::IpAddress server,
   net::Duration timeout = config_.initial_timeout;
   int streak = 0;
   if (const ServerStats* st = infra_.get(server, now)) {
-    timeout = net::Duration::millis(st->srtt_ms * config_.retrans_factor);
+    timeout = net::Duration::millis(st->srtt_ms * kRetransFactor);
     streak = st->consecutive_timeouts;
   }
   if (via_tcp) timeout += timeout;  // handshake costs an extra round trip
@@ -644,26 +687,28 @@ net::Duration RecursiveResolver::retransmit_timeout(net::IpAddress server,
   return std::clamp(timeout, lo, hi);
 }
 
-void RecursiveResolver::on_upstream_timeout(std::uint64_t txkey) {
-  const auto it = outstanding_.find(txkey);
-  if (it == outstanding_.end()) return;
-  Outstanding out = std::move(it->second);
-  outstanding_nodes_.erase(outstanding_, it);
-  untrack_outstanding(out.qname_ref);
-  release_zone_slot(out.zone);
+void RecursiveResolver::on_upstream_timeout(JobRef ref) {
+  // A matched reply cancels this event: the transmission is still live.
+  Job& job = *jobs_[ref.index];
+  assert(job.ref == ref && job.tx_live);
+  end_transmission(job);
   ++upstream_timeouts_;
   const net::SimTime now = network_.sim().now();
   obs_upstream_timeouts_->add(1, now);
+  const net::IpAddress server = job.tx.server;
   if (trace_->enabled()) {
     trace_->record({now, obs::TraceKind::UpstreamTimeout, config_.name,
-                    out.server.to_string(),
-                    out.job->current_zone.to_string(),
-                    (now - out.sent_at).ms()});
+                    server.to_string(), job.current_zone.to_string(),
+                    (now - job.tx.sent_at).ms()});
   }
-  infra_.report_timeout(out.server, now);
-  selector_->on_timeout(out.job->current_zone, out.server);
-  out.job->failed_servers.push_back(out.server);
-  step(out.job);
+  infra_.report_timeout(server, now);
+  selector_->on_timeout(job.current_zone, server);
+  if (job.done) {
+    free_job(job);
+    return;
+  }
+  job.failed_servers.push_back(server);
+  step(job);
 }
 
 void RecursiveResolver::on_upstream_datagram(const net::Datagram& dgram) {
@@ -683,62 +728,57 @@ void RecursiveResolver::on_upstream_response(const net::Datagram& dgram,
                                              const dns::Message& resp) {
   if (!resp.header.qr || resp.questions.empty()) return;
 
-  // Match an outstanding query: id + server endpoint + question. The
+  // Match a live transmission: id + server endpoint + question. The
   // source PORT is part of the key — a response from the right address but
   // the wrong port did not come from the socket we queried, so it is
   // off-path injection (or a confused middlebox) and must not be accepted.
-  // The response qname is interned once (lookup-only); outstanding entries
-  // then match by 32-bit id instead of re-walking label vectors per
-  // candidate.
+  // The response qname is interned once (lookup-only); only the
+  // transmissions on that id's list are compared, first match wins.
   const auto ref = qnames_.find(resp.question().qname);
   if (!ref) return;  // we never asked for this name: late or spoofed
-  const auto matches = [&](const Outstanding& o) {
-    return o.txid == resp.header.id && o.server == dgram.src.addr &&
-           o.server_port == dgram.src.port &&
-           o.qtype == resp.question().qtype && o.qname_ref == *ref;
-  };
-  const QnameOutstanding& slot = by_qname_[ref->value];
-  auto match = outstanding_.end();
-  if (slot.txkey != 0) {
-    const auto it = outstanding_.find(slot.txkey);
-    if (matches(it->second)) match = it;
-  } else if (slot.count > 0) {
-    match = std::find_if(outstanding_.begin(), outstanding_.end(),
-                         [&](const auto& kv) { return matches(kv.second); });
+  std::uint32_t index = by_qname_[ref->value];
+  for (; index != kNoJob; index = jobs_[index]->tx.next) {
+    const Transmission& tx = jobs_[index]->tx;
+    if (tx.txid == resp.header.id && tx.server == dgram.src.addr &&
+        tx.server_port == dgram.src.port &&
+        tx.qtype == resp.question().qtype) {
+      break;
+    }
   }
-  if (match == outstanding_.end()) return;  // late or spoofed: ignore
+  if (index == kNoJob) return;  // late or spoofed: ignore
 
-  Outstanding out = std::move(match->second);
-  outstanding_nodes_.erase(outstanding_, match);
-  untrack_outstanding(out.qname_ref);
-  release_zone_slot(out.zone);
-  network_.sim().cancel(out.timeout_event);
+  Job& job = *jobs_[index];
+  end_transmission(job);
+  network_.sim().cancel(job.tx.timeout_event);
+  const Transmission tx = std::move(job.tx);
 
   const net::SimTime now = network_.sim().now();
   // TCP exchanges include handshake time; don't let them poison the
   // (UDP) SRTT estimate the selection policies rely on.
-  if (!out.via_tcp) {
-    infra_.report_rtt(out.server, now - out.sent_at, now);
-    obs_rtt_hist_->observe((now - out.sent_at).ms(), now);
+  if (!tx.via_tcp) {
+    infra_.report_rtt(tx.server, now - tx.sent_at, now);
+    obs_rtt_hist_->observe((now - tx.sent_at).ms(), now);
   }
-  if (out.job->done) return;
+  if (job.done) {
+    free_job(job);
+    return;
+  }
 
   // Truncated over UDP: retry the same server over TCP (RFC 1035 §4.2.2).
-  if (resp.header.tc && !out.via_tcp) {
+  if (resp.header.tc && !tx.via_tcp) {
     ++tcp_retries_;
     obs_tcp_fallbacks_->add(1, now);
     if (trace_->enabled()) {
       trace_->record({now, obs::TraceKind::TcpFallback, config_.name,
-                      out.server.to_string(),
-                      out.job->current_zone.to_string(), 0.0});
+                      tx.server.to_string(), job.current_zone.to_string(),
+                      0.0});
     }
-    if (out.job->upstream_count < config_.max_upstream_queries) {
-      send_upstream(out.job, out.job->current_zone, out.server,
-                    /*via_tcp=*/true);
+    if (job.upstream_count < config_.max_upstream_queries) {
+      send_upstream(job, tx.server, /*via_tcp=*/true);
       return;
     }
   }
-  handle_response(out.job, resp, out);
+  handle_response(job, resp, tx);
 }
 
 void RecursiveResolver::cache_message_records(const dns::Message& resp,
@@ -764,26 +804,28 @@ void RecursiveResolver::cache_message_records(const dns::Message& resp,
   });
 }
 
-void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
-                                        const dns::Message& resp,
-                                        const Outstanding& out) {
-  const net::IpAddress server = out.server;
+void RecursiveResolver::handle_response(Job& job, const dns::Message& resp,
+                                        const Transmission& tx) {
+  const net::IpAddress server = tx.server;
   const net::SimTime now = network_.sim().now();
+  // A lame, broken or useless answer: count it against the server and let
+  // the next step pick another.
+  const auto fail_over = [&](std::string_view why) {
+    obs_failovers_->add(1, now);
+    if (trace_->enabled()) {
+      trace_->record({now, obs::TraceKind::Failover, config_.name,
+                      server.to_string(), std::string{why}, 0.0});
+    }
+    selector_->on_timeout(job.current_zone, server);
+    job.failed_servers.push_back(server);
+    step(job);
+  };
 
-  // Lame or broken server: try another.
   if (resp.header.rcode == dns::Rcode::ServFail ||
       resp.header.rcode == dns::Rcode::Refused ||
       resp.header.rcode == dns::Rcode::NotImp ||
       resp.header.rcode == dns::Rcode::FormErr) {
-    obs_failovers_->add(1, now);
-    if (trace_->enabled()) {
-      trace_->record({now, obs::TraceKind::Failover, config_.name,
-                      server.to_string(),
-                      std::string{dns::to_string(resp.header.rcode)}, 0.0});
-    }
-    selector_->on_timeout(job->current_zone, server);
-    job->failed_servers.push_back(server);
-    step(job);
+    fail_over(dns::to_string(resp.header.rcode));
     return;
   }
 
@@ -794,10 +836,10 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
         neg_ttl = std::min(rr.ttl, rr.rdata().soa_minimum());
       }
     }
-    cache_message_records(resp, job->current_zone);
+    cache_message_records(resp, job.current_zone);
     // NXDOMAIN on a minimized prefix means the full name cannot exist
     // either (RFC 8020).
-    cache_.put_negative(out.qname, out.qtype, dns::Rcode::NxDomain,
+    cache_.put_negative(tx.qname, tx.qtype, dns::Rcode::NxDomain,
                         neg_ttl, now);
     finish(job, dns::Rcode::NxDomain);
     return;
@@ -805,8 +847,8 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
 
   // NOERROR.
   if (!resp.answers.empty()) {
-    cache_message_records(resp, job->current_zone);
-    if (++job->indirections > config_.max_indirections) {
+    cache_message_records(resp, job.current_zone);
+    if (++job.indirections > kMaxIndirections) {
       finish(job, dns::Rcode::ServFail);
       return;
     }
@@ -824,12 +866,12 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
   }
   if (referral_ns != nullptr) {
     const bool deeper =
-        referral_ns->name.label_count() > job->current_zone.label_count() &&
-        referral_ns->name.is_subdomain_of(job->current_zone) &&
-        job->current_name.is_subdomain_of(referral_ns->name);
+        referral_ns->name.label_count() > job.current_zone.label_count() &&
+        referral_ns->name.is_subdomain_of(job.current_zone) &&
+        job.current_name.is_subdomain_of(referral_ns->name);
     if (deeper) {
-      cache_message_records(resp, job->current_zone);
-      if (++job->indirections > config_.max_indirections) {
+      cache_message_records(resp, job.current_zone);
+      if (++job.indirections > kMaxIndirections) {
         finish(job, dns::Rcode::ServFail);
         return;
       }
@@ -840,15 +882,7 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
       step(job);
       return;
     }
-    // Sideways/upwards referral: lame.
-    obs_failovers_->add(1, now);
-    if (trace_->enabled()) {
-      trace_->record({now, obs::TraceKind::Failover, config_.name,
-                      server.to_string(), "lame_referral", 0.0});
-    }
-    selector_->on_timeout(job->current_zone, server);
-    job->failed_servers.push_back(server);
-    step(job);
+    fail_over("lame_referral");  // sideways/upwards referral
     return;
   }
 
@@ -862,28 +896,21 @@ void RecursiveResolver::handle_response(const std::shared_ptr<Job>& job,
     }
   }
   if (saw_soa || resp.header.aa) {
-    cache_message_records(resp, job->current_zone);
-    cache_.put_negative(out.qname, out.qtype, dns::Rcode::NoError, neg_ttl,
+    cache_message_records(resp, job.current_zone);
+    cache_.put_negative(tx.qname, tx.qtype, dns::Rcode::NoError, neg_ttl,
                         now);
-    if (out.minimized) {
+    if (tx.minimized) {
       // The minimized prefix is an empty non-terminal: expose one more
       // label on the next round (RFC 7816 §3).
-      job->min_labels = out.qname.label_count() + 1;
+      job.min_labels = tx.qname.label_count() + 1;
       step(job);
       return;
     }
     finish(job, dns::Rcode::NoError);
     return;
   }
-  // Empty, non-authoritative, no referral: useless answer; failover.
-  obs_failovers_->add(1, now);
-  if (trace_->enabled()) {
-    trace_->record({now, obs::TraceKind::Failover, config_.name,
-                    server.to_string(), "useless_answer", 0.0});
-  }
-  selector_->on_timeout(job->current_zone, server);
-  job->failed_servers.push_back(server);
-  step(job);
+  // Empty, non-authoritative, no referral.
+  fail_over("useless_answer");
 }
 
 bool RecursiveResolver::has_cached_address(const dns::Name& ns_name,
@@ -907,9 +934,9 @@ bool RecursiveResolver::has_cached_address(const dns::Name& ns_name,
   return false;
 }
 
-bool RecursiveResolver::maybe_fetch_ns_addresses(
-    const std::shared_ptr<Job>& job, const dns::Name& child_zone,
-    const dns::Message& resp) {
+bool RecursiveResolver::maybe_fetch_ns_addresses(Job& job,
+                                                  const dns::Name& child_zone,
+                                                  const dns::Message& resp) {
   const net::SimTime now = network_.sim().now();
   const dns::RRType addr_type = config_.family == AddressFamily::V6Only
                                     ? dns::RRType::AAAA
@@ -938,19 +965,17 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
   // Filtering first would let every repeat query march further down the
   // attacker's target list, turning the cap into cap-per-query.
   if (config_.max_fetches_per_resolution > 0) {
-    if (!job->fetch_budget) {
-      job->fetch_budget = std::make_shared<std::uint32_t>(0);
+    if (!job.fetch_budget) {
+      job.fetch_budget = std::make_shared<std::uint32_t>(0);
     }
     const auto cap =
         static_cast<std::uint32_t>(config_.max_fetches_per_resolution);
-    const std::uint32_t used = *job->fetch_budget;
+    const std::uint32_t used = *job.fetch_budget;
     const std::size_t allowed = used >= cap ? 0 : cap - used;
     if (targets.size() > allowed) {
-      if (obs_fetch_resolution_capped_ == nullptr) {
-        obs_fetch_resolution_capped_ = &network_.sim().metrics().counter(
-            obs::names::kResolverFetchResolutionCapped);
-      }
-      obs_fetch_resolution_capped_->add(targets.size() - allowed, now);
+      count_lazily(obs_fetch_resolution_capped_,
+                   obs::names::kResolverFetchResolutionCapped,
+                   targets.size() - allowed);
       targets.resize(allowed);
     }
   }
@@ -969,75 +994,49 @@ bool RecursiveResolver::maybe_fetch_ns_addresses(
     return true;
   }
   if (config_.max_fetches_per_resolution > 0) {
-    *job->fetch_budget += static_cast<std::uint32_t>(targets.size());
+    *job.fetch_budget += static_cast<std::uint32_t>(targets.size());
   }
 
-  if (obs_fetch_spawned_ == nullptr) {
-    obs_fetch_spawned_ =
-        &network_.sim().metrics().counter(obs::names::kResolverFetchSpawned);
-  }
   // Pre-commit the full count before the first resolve_internal: a child
   // that completes synchronously (cached CNAME chain, instant SERVFAIL)
   // must not see pending_fetches hit zero while siblings are unspawned.
-  job->pending_fetches += static_cast<int>(targets.size());
+  job.pending_fetches += static_cast<int>(targets.size());
   for (const auto& target : targets) {
     ++ns_fetches_spawned_;
-    obs_fetch_spawned_->add(1, now);
+    count_lazily(obs_fetch_spawned_, obs::names::kResolverFetchSpawned);
     if (trace_->enabled()) {
       trace_->record({now, obs::TraceKind::NsFetch, config_.name,
                       target.to_string(), child_zone.to_string(), 0.0});
     }
-    std::weak_ptr<Job> weak = job;
     Waiters waiters;
-    waiters.add(ResolveCallback{[this, weak](const ResolveOutcome&) {
-      const auto j = weak.lock();
-      if (!j || j->done) return;
-      if (--j->pending_fetches == 0) step(j);
-    }});
+    waiters.add(job.ref);
     // Internal fetches bypass admission (admitted=false): gating them
     // behind the client resolutions that spawned them would deadlock.
+    // The parent may finish inside the last call; nothing below uses it.
     resolve_internal(dns::Question{target, addr_type, dns::RRClass::IN},
-                     std::move(waiters), job->fetch_budget,
+                     std::move(waiters), job.fetch_budget,
                      /*admitted=*/false);
   }
   return true;
 }
 
-void RecursiveResolver::release_zone_slot(const dns::Name& zone) {
-  if (config_.fetches_per_zone <= 0) return;
-  const auto it = zone_outstanding_.find(zone);
-  if (it == zone_outstanding_.end()) return;
-  if (--it->second <= 0) zone_outstanding_.erase(it);
-}
-
-void RecursiveResolver::finish(const std::shared_ptr<Job>& job,
-                               dns::Rcode rcode) {
-  if (job->done) return;
-  job->done = true;
+void RecursiveResolver::finish(Job& job, dns::Rcode rcode) {
+  if (job.done) return;
+  job.done = true;
   // Leave the deadline batch; the last member out cancels the event. A
   // fired batch already erased its entry (and cancels once itself).
-  if (job->in_deadline_batch) {
-    job->in_deadline_batch = false;
-    if (const auto it = deadline_batches_.find(job->deadline_key);
-        it != deadline_batches_.end()) {
-      if (--it->second.live <= 0) {
-        network_.sim().cancel(it->second.event);
-        // The parked node keeps the member list's capacity for the next
-        // batch.
-        deadline_nodes_.erase(deadline_batches_, it, [](DeadlineBatch& b) {
-          b.event = 0;
-          b.jobs.clear();
-          b.live = 0;
-        });
-      } else if (job->deadline_slot < it->second.jobs.size()) {
-        // Release the anchor so the finished job does not outlive its
-        // resolution just because batch-mates are still running.
-        it->second.jobs[job->deadline_slot].reset();
-      }
-    }
+  if (const auto it = deadline_batches_.find(job.deadline_key);
+      it != deadline_batches_.end() && --it->second.live <= 0) {
+    network_.sim().cancel(it->second.event);
+    // The parked node keeps the member list's capacity for the next batch.
+    deadline_nodes_.erase(deadline_batches_, it, [](DeadlineBatch& b) {
+      b.event = 0;
+      b.jobs.clear();
+      b.live = 0;
+    });
   }
-  if (job->admitted) {
-    job->admitted = false;
+  if (job.admitted) {
+    job.admitted = false;
     --client_inflight_;
   }
   const net::SimTime now = network_.sim().now();
@@ -1046,25 +1045,26 @@ void RecursiveResolver::finish(const std::shared_ptr<Job>& job,
     obs_servfails_->add(1, now);
     if (trace_->enabled()) {
       trace_->record({now, obs::TraceKind::Servfail, config_.name,
-                      job->original.qname.to_string(),
-                      std::string{dns::to_string(job->original.qtype)},
+                      job.original.qname.to_string(),
+                      std::string{dns::to_string(job.original.qtype)},
                       0.0});
     }
   }
-  obs_resolve_hist_->observe((now - job->started_at).ms(), now);
+  obs_resolve_hist_->observe((now - job.started_at).ms(), now);
   ResolveOutcome outcome;
   outcome.rcode = rcode;
-  outcome.answers = std::move(job->chain);  // a finished job needs no chain
-  outcome.elapsed = network_.sim().now() - job->started_at;
-  outcome.upstream_queries = job->upstream_count;
-  if (const auto it = inflight_.find(
-          PendingView{job->original.qname, job->original.qtype});
-      it != inflight_.end()) {
-    inflight_nodes_.erase(inflight_, it);
-  }
-  job->waiters.for_each([&](Waiter& w) { notify(w, outcome); });
-  job->waiters = Waiters{};
+  outcome.answers = std::move(job.chain);  // a finished job needs no chain
+  outcome.elapsed = network_.sim().now() - job.started_at;
+  outcome.upstream_queries = job.upstream_count;
+  const auto it =
+      inflight_.find(PendingView{job.original.qname, job.original.qtype});
+  assert(it != inflight_.end() && it->second == job.ref);
+  inflight_nodes_.erase(inflight_, it);
+  job.waiters.for_each([&](Waiter& w) { notify(w, outcome); });
+  job.waiters = Waiters{};
   drain_admission_queue();
+  // A transmission still in flight frees the slot when it ends.
+  if (!job.tx_live) free_job(job);
 }
 
 }  // namespace recwild::resolver

@@ -53,14 +53,13 @@ struct ResolverConfig {
   RecordCacheConfig cache{};
 
   /// Per-transmission timeout bounds. With SRTT knowledge the base timeout
-  /// is srtt*retrans_factor; without it, initial_timeout. Consecutive
-  /// timeouts against the same address double it (jitterless exponential
-  /// backoff). Every path — SRTT, no-SRTT failover, the TCP retry — is
-  /// clamped to [min_timeout, max_timeout]; max_timeout is a hard ceiling.
+  /// is 3 x srtt; without it, initial_timeout. Consecutive timeouts
+  /// against the same address double it (jitterless exponential backoff).
+  /// Every path — SRTT, no-SRTT failover, the TCP retry — is clamped to
+  /// [min_timeout, max_timeout]; max_timeout is a hard ceiling.
   net::Duration initial_timeout = net::Duration::millis(750);
   net::Duration min_timeout = net::Duration::millis(500);
   net::Duration max_timeout = net::Duration::seconds(2);
-  double retrans_factor = 3.0;
 
   /// Bounded work: a hard deadline on one client resolution. Whatever a
   /// fault schedule does to the servers, the job finishes (SERVFAIL) at
@@ -68,10 +67,9 @@ struct ResolverConfig {
   /// transmissions of max_timeout each — so it only fires as a safety net.
   net::Duration max_resolution_time = net::Duration::seconds(60);
 
-  /// Upper bound on upstream transmissions for one client query.
+  /// Upper bound on upstream transmissions for one client query. Referral
+  /// depth plus CNAME chases has a fixed bound of 12.
   int max_upstream_queries = 16;
-  /// Upper bound on referral depth + CNAME chases.
-  int max_indirections = 12;
 
   /// NXNS defense (docs/ATTACKS.md), Unbound MAX_TARGET_COUNT-style: total
   /// glueless-NS address fetches one client resolution may spawn across
@@ -179,12 +177,12 @@ class RecursiveResolver {
   [[nodiscard]] std::uint64_t tcp_retries() const noexcept {
     return tcp_retries_;
   }
-  /// The interned-qname table is compacted down to the outstanding set
-  /// when it holds at least this many names and more than four times as
-  /// many as are outstanding. That keeps it within max(kQnameCompactMin,
-  /// 4 x in flight + 4) names under cache-busting workloads where every
-  /// query carries a fresh subdomain; compaction reuses the table's
-  /// storage, so the low floor costs no allocations.
+  /// The interned-qname table is compacted down to the live transmissions'
+  /// names when it holds at least this many names and more than four times
+  /// as many as there are live transmissions. That keeps it within
+  /// max(kQnameCompactMin, 4 x in flight + 4) names under cache-busting
+  /// workloads where every query carries a fresh subdomain; compaction
+  /// reuses the table's storage, so the low floor costs no allocations.
   static constexpr std::size_t kQnameCompactMin = 64;
   /// Distinct upstream qnames currently interned (see kQnameCompactMin).
   [[nodiscard]] std::size_t interned_qnames() const noexcept {
@@ -192,7 +190,16 @@ class RecursiveResolver {
   }
 
  private:
+  /// One resolution and its one upstream transmission, in a slot of jobs_.
   struct Job;
+  /// Names a job by its slot in jobs_ and its generation, a count of the
+  /// jobs this resolver started: a reference kept past the job's slot
+  /// being freed (a deadline batch member, a parked parent) names nothing.
+  struct JobRef {
+    std::uint32_t index = 0;
+    std::uint32_t generation = 0;
+    friend bool operator==(JobRef, JobRef) noexcept = default;
+  };
 
   /// A network client waiting for its reply, which is built in tx_ — a
   /// client needs no callback object, so it holds no capture on the heap.
@@ -203,9 +210,10 @@ class RecursiveResolver {
     std::uint16_t id = 0;
     bool rd = false;
   };
-  /// Who hears how a resolution ended: a resolve() caller or an NS-address
-  /// fetch through its callback, or a network client.
-  using Waiter = std::variant<std::monostate, ResolveCallback, ClientReply>;
+  /// Who hears how a resolution ended: a resolve() caller through its
+  /// callback, a network client, or a job parked on this NS-address fetch.
+  using Waiter =
+      std::variant<std::monostate, ResolveCallback, ClientReply, JobRef>;
   /// A resolution's waiters in arrival order: the first inline, later
   /// joins (coalesced duplicates) in a vector.
   class Waiters {
@@ -253,14 +261,21 @@ class RecursiveResolver {
   /// Starts queued resolutions while slots are free (called from finish;
   /// reentrancy-guarded, so synchronous completions don't recurse).
   void drain_admission_queue();
+  /// A free slot of jobs_ (a new one when none is free), and the job a
+  /// live reference names (nullptr once it finished or its slot was freed).
+  Job& new_job();
+  Job* live_job(JobRef ref) noexcept;
+  /// Frees the slot of a job that is done and whose transmission has ended.
+  void free_job(Job& job);
   /// Registers `job` on the deadline batch expiring at started_at +
   /// max_resolution_time. Jobs starting at the same instant share one
   /// simulation event, so N pipelined chains don't multiply queue churn.
-  void arm_deadline(const std::shared_ptr<Job>& job);
+  void arm_deadline(Job& job);
   void fire_deadline_batch(std::int64_t key);
-  /// Counts one (qname, qtype) chain coalescing onto an existing in-flight
-  /// or queued resolution (lazily registered: resolver.coalesced).
-  void note_coalesced();
+  /// Adds `n` to a counter registered on its first use (see
+  /// obs_fetch_spawned_).
+  void count_lazily(obs::Counter*& counter, std::string_view name,
+                    std::uint64_t n = 1);
 
   void on_client_datagram(const net::Datagram& dgram);
   void on_upstream_datagram(const net::Datagram& dgram);
@@ -270,14 +285,14 @@ class RecursiveResolver {
                             const dns::Message& resp);
 
   /// Advances a job: cache checks, zone-cut discovery, upstream send.
-  void step(const std::shared_ptr<Job>& job);
+  void step(Job& job);
   /// Finds the deepest zone cut with cached/known server addresses for
   /// `qname`. Fills `zone` and `servers`; falls back to root hints.
   void find_zone_cut(const dns::Name& qname, dns::Name& zone,
                      net::AddressList& servers);
-  struct Outstanding;
-  void send_upstream(const std::shared_ptr<Job>& job, const dns::Name& zone,
-                     net::IpAddress server, bool via_tcp = false);
+  /// Sends `job`'s one transmission to `server`, which serves the job's
+  /// current_zone; current_zone stays put until the transmission ends.
+  void send_upstream(Job& job, net::IpAddress server, bool via_tcp = false);
   /// The per-transmission timeout for `server` right now: base (SRTT or
   /// initial), TCP handshake doubling, exponential backoff per consecutive
   /// timeout, then one final clamp to [min_timeout, max_timeout]. The
@@ -285,33 +300,31 @@ class RecursiveResolver {
   [[nodiscard]] net::Duration retransmit_timeout(net::IpAddress server,
                                                  net::SimTime now,
                                                  bool via_tcp);
-  void on_upstream_timeout(std::uint64_t txkey);
-  /// Rebuilds qnames_ from the names still outstanding, re-interning their
-  /// qname_refs. Keeps the intern table bounded under high-cardinality
-  /// (random-subdomain) workloads where names never repeat.
+  void on_upstream_timeout(JobRef ref);
+  /// Rebuilds qnames_ and by_qname_ from the live transmissions. Keeps the
+  /// intern table bounded under high-cardinality (random-subdomain)
+  /// workloads where names never repeat.
   void compact_qnames();
-  /// Counts a transmission of `ref` in by_qname_ (on send) or drops it
-  /// (when it leaves outstanding_).
-  void track_outstanding(dns::NameRef ref, std::uint64_t txkey);
-  void untrack_outstanding(dns::NameRef ref) noexcept;
-  void handle_response(const std::shared_ptr<Job>& job,
-                       const dns::Message& resp, const Outstanding& out);
-  void finish(const std::shared_ptr<Job>& job, dns::Rcode rcode);
+  /// Interns `job`'s transmission qname and links it into by_qname_.
+  void link_transmission(Job& job);
+  /// Ends `job`'s transmission: unlinks it and drops the fetches_per_zone
+  /// slot send_upstream took for it.
+  void end_transmission(Job& job);
+  struct Transmission;
+  void handle_response(Job& job, const dns::Message& resp,
+                       const Transmission& tx);
+  void finish(Job& job, dns::Rcode rcode);
   void cache_message_records(const dns::Message& resp,
                              const dns::Name& server_zone);
   /// NXNS handling: when a referral into `child_zone` names only servers
   /// we hold no addresses for, spawns bounded side-resolutions for their
   /// A/AAAA records and parks the job until they land. Returns true when
   /// it took ownership of the job (spawned fetches or finished it).
-  bool maybe_fetch_ns_addresses(const std::shared_ptr<Job>& job,
-                                const dns::Name& child_zone,
+  bool maybe_fetch_ns_addresses(Job& job, const dns::Name& child_zone,
                                 const dns::Message& resp);
   /// Family-aware: does the cache hold a usable address for this NS host?
   [[nodiscard]] bool has_cached_address(const dns::Name& ns_name,
                                         net::SimTime now);
-  /// Drops the fetches_per_zone slot `zone` holds (no-op when the knob is
-  /// off). Must run exactly once per tracked transmission.
-  void release_zone_slot(const dns::Name& zone);
 
   net::Network& network_;
   net::NodeId node_;
@@ -327,33 +340,23 @@ class RecursiveResolver {
   net::Endpoint upstream_ep_;
   bool listening_ = false;
 
-  struct Outstanding {
-    std::shared_ptr<Job> job;
-    bool minimized = false;  // qname/qtype differ from the client question
-    net::IpAddress server;
-    /// The destination port the query was sent to. Response matching
-    /// requires the source endpoint — address AND port — to be the one we
-    /// queried; accepting any port on the right address lets an off-path
-    /// host that never saw the query inject from an unprivileged socket.
-    net::Port server_port = net::kDnsPort;
-    dns::Name qname;
-    /// qname's id in qnames_ — response matching compares this 32-bit id
-    /// instead of walking label vectors per outstanding entry.
-    dns::NameRef qname_ref;
-    dns::RRType qtype{};
-    std::uint16_t txid = 0;
-    bool via_tcp = false;
-    net::SimTime sent_at;
-    net::EventId timeout_event = 0;
-    /// Zone the transmission targets; populated (and a slot held in
-    /// zone_outstanding_) only while fetches_per_zone > 0.
-    dns::Name zone;
-  };
-  using OutstandingMap = std::unordered_map<std::uint64_t, Outstanding>;
-  OutstandingMap outstanding_;  // by txkey
-  stats::NodePool<OutstandingMap> outstanding_nodes_;
-  std::uint64_t next_txkey_ = 1;
-  /// Outstanding transmissions per target zone, maintained only while
+  /// The job table: every resolution lives in one slot, and nothing else
+  /// owns it. A slot is freed when its job is done AND its transmission
+  /// has ended — a transmission outlives its job when the deadline fires
+  /// first, and its late reply or timeout still feeds infra_ and selector_.
+  /// Slots never move (waiters re-enter resolve() while finish() holds a
+  /// Job&), and an empty table allocates nothing. Up to kSpareJobs free
+  /// slots keep their storage (spare_jobs_); past that a freed slot gives
+  /// it back (free_jobs_), as stats::NodePool does, so a table that drains
+  /// after a burst does not hold its peak.
+  static constexpr std::size_t kSpareJobs = 16;
+  std::vector<std::unique_ptr<Job>> jobs_;
+  std::vector<std::uint32_t> spare_jobs_;
+  std::vector<std::uint32_t> free_jobs_;
+  std::uint32_t jobs_started_ = 0;
+  /// Live transmissions (qname compaction is sized against them).
+  std::size_t live_transmissions_ = 0;
+  /// Live transmissions per target zone, maintained only while
   /// fetches_per_zone > 0 so default-config worlds pay nothing.
   struct ZoneHash {
     std::size_t operator()(const dns::Name& n) const noexcept {
@@ -362,19 +365,15 @@ class RecursiveResolver {
   };
   std::unordered_map<dns::Name, int, ZoneHash> zone_outstanding_;
   /// Interns every upstream qname once at send time; a response's qname is
-  /// looked up once and matched against outstanding ids (a miss means no
-  /// query of ours ever asked that name — drop, like a failed scan would).
+  /// looked up once and matched against live ids (a miss means no query of
+  /// ours ever asked that name — drop, like a failed scan would).
   dns::NameTable qnames_;
-  /// Outstanding transmissions per qnames_ id, so a response reaches its
-  /// one candidate without scanning outstanding_. `txkey` is that
-  /// candidate while exactly one transmission carries the id, else 0; ids
-  /// shared by several transmissions (or whose survivor is unknown after
-  /// an erase) fall back to the scan, which keeps its first-match order.
-  struct QnameOutstanding {
-    std::uint64_t txkey = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<QnameOutstanding> by_qname_;
+  /// Per qnames_ id, the first slot of an intrusive list (through
+  /// Transmission::next) of the live transmissions carrying that qname.
+  /// A response takes the first entry whose txid, server endpoint and
+  /// qtype match.
+  static constexpr std::uint32_t kNoJob = 0xffffffffu;
+  std::vector<std::uint32_t> by_qname_;
 
   // Query coalescing: (qname,type) -> job waiting upstream. Lookups and
   // erases go through the borrowed PendingView so the per-query fast path
@@ -382,9 +381,6 @@ class RecursiveResolver {
   struct PendingKey {
     dns::Name name;
     dns::RRType type;
-    bool operator==(const PendingKey& o) const {
-      return type == o.type && name == o.name;
-    }
   };
   struct PendingView {
     const dns::Name& name;
@@ -402,7 +398,7 @@ class RecursiveResolver {
   struct PendingKeyEq {
     using is_transparent = void;
     bool operator()(const PendingKey& a, const PendingKey& b) const {
-      return a == b;
+      return a.type == b.type && a.name == b.name;
     }
     bool operator()(const PendingKey& a, const PendingView& b) const {
       return a.type == b.type && a.name == b.name;
@@ -411,8 +407,9 @@ class RecursiveResolver {
       return b.type == a.type && b.name == a.name;
     }
   };
-  using InflightMap = std::unordered_map<PendingKey, std::weak_ptr<Job>,
-                                         PendingKeyHash, PendingKeyEq>;
+  /// Every unfinished job, by its question; finish() erases the entry.
+  using InflightMap =
+      std::unordered_map<PendingKey, JobRef, PendingKeyHash, PendingKeyEq>;
   InflightMap inflight_;
   stats::NodePool<InflightMap> inflight_nodes_;
 
@@ -436,13 +433,11 @@ class RecursiveResolver {
   /// same microsecond shares one simulation event, keyed by the absolute
   /// expiry time. `live` counts unfinished members; the last finish()
   /// cancels the event, so a batch of one schedules and cancels exactly
-  /// like the per-job deadline it replaces. Members are STRONG refs — the
-  /// batch is what keeps a job alive while it waits on child NS-address
-  /// fetches (which hold only weak parents); finish() resets the member's
-  /// slot so completed jobs never linger.
+  /// like the per-job deadline it replaces. Members that finished early
+  /// are skipped when the batch fires (see live_job).
   struct DeadlineBatch {
     net::EventId event = 0;
-    std::vector<std::shared_ptr<Job>> jobs;
+    std::vector<JobRef> jobs;
     int live = 0;
   };
   using DeadlineMap = std::unordered_map<std::int64_t, DeadlineBatch>;

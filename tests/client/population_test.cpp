@@ -3,25 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 namespace recwild::client {
 namespace {
 
+// Plans the population over a node catalog and materializes it onto a
+// network built over that catalog, as experiment::Testbed does.
 struct Fixture {
   net::Simulation sim{99};
   net::LatencyParams params;
   std::unique_ptr<net::Network> net_;
   std::vector<resolver::RootHint> hints;
 
-  Fixture() {
+  Population build(const PopulationConfig& cfg) {
     params.loss_rate = 0;
-    net_ = std::make_unique<net::Network>(sim, params);
+    auto catalog = std::make_shared<net::NodeCatalog>();
     hints.push_back(resolver::RootHint{
-        dns::Name::parse("a.root-servers.net"), net_->allocate_address()});
-  }
-
-  Population build(PopulationConfig cfg) {
-    return build_population(*net_, cfg, hints, stats::Rng{1});
+        dns::Name::parse("a.root-servers.net"), catalog->allocate_address()});
+    const PopulationPlan plan = plan_population(*catalog, cfg, stats::Rng{1});
+    net_ = std::make_unique<net::Network>(sim, params, std::move(catalog));
+    return materialize_population(*net_, plan, cfg, hints);
   }
 };
 

@@ -45,13 +45,5 @@ TEST(Types, OpcodeAndRcodeNames) {
   EXPECT_EQ(to_string(Rcode::Refused), "REFUSED");
 }
 
-TEST(Types, SupportedRdataTypes) {
-  EXPECT_TRUE(is_supported_rdata_type(RRType::A));
-  EXPECT_TRUE(is_supported_rdata_type(RRType::TXT));
-  EXPECT_TRUE(is_supported_rdata_type(RRType::OPT));
-  EXPECT_FALSE(is_supported_rdata_type(RRType::ANY));
-  EXPECT_FALSE(is_supported_rdata_type(static_cast<RRType>(65000)));
-}
-
 }  // namespace
 }  // namespace recwild::dns

@@ -75,8 +75,8 @@ namespace {
 
 // Allocations per completed query when the budget was set (GCC 12,
 // Release). A rise of more than 10% fails the test.
-constexpr double kCampaignBudget = 15.14;
-constexpr double kScanBudget = 7.33;
+constexpr double kCampaignBudget = 14.28;
+constexpr double kScanBudget = 6.40;
 constexpr double kSlack = 1.10;
 
 // A message section holds records by value: no larger than when a record

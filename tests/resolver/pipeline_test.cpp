@@ -276,6 +276,9 @@ TEST(ResolverPipeline, WaiterAtExactRecordExpiryGoesUpstream) {
 // Glueless variant: test.nl delegates to four nameservers under farm.
 // (out-of-bailiwick, no glue anywhere), and the root server is also
 // authoritative for farm. — resolving any ns*.farm costs one root query.
+// With `silent_farm` the root instead delegates farm. to an address no
+// server listens on, so every NS-address fetch goes unanswered, and nl.
+// also delegates other.nl to ns5.farm.
 struct GluelessWorld {
   net::Simulation sim{4243};
   net::LatencyParams params;
@@ -286,7 +289,7 @@ struct GluelessWorld {
   net::IpAddress root_addr, tld_addr, auth_addr;
   std::unique_ptr<RecursiveResolver> resolver;
 
-  explicit GluelessWorld(ResolverConfig rcfg) {
+  explicit GluelessWorld(ResolverConfig rcfg, bool silent_farm = false) {
     params.loss_rate = 0.0;
     net_ = std::make_unique<net::Network>(sim, params);
     const auto loc = [](const char* code) {
@@ -319,8 +322,15 @@ struct GluelessWorld {
       farm_zone.add({dns::Name::parse("ns" + std::to_string(i) + ".farm"),
                      dns::RRClass::IN, 86400, dns::ARdata{auth_addr}});
     }
-    root_zone.add({dns::Name::parse("farm"), dns::RRClass::IN, 86400,
-                   dns::NsRdata{dns::Name::parse("a.root-servers.net")}});
+    if (silent_farm) {
+      root_zone.add({dns::Name::parse("farm"), dns::RRClass::IN, 86400,
+                     dns::NsRdata{dns::Name::parse("ns.farm")}});
+      root_zone.add({dns::Name::parse("ns.farm"), dns::RRClass::IN, 86400,
+                     dns::ARdata{net_->allocate_address()}});
+    } else {
+      root_zone.add({dns::Name::parse("farm"), dns::RRClass::IN, 86400,
+                     dns::NsRdata{dns::Name::parse("a.root-servers.net")}});
+    }
 
     authns::Zone nl_zone{dns::Name::parse("nl")};
     nl_zone.add({dns::Name::parse("nl"), dns::RRClass::IN, 86400, soa});
@@ -332,6 +342,10 @@ struct GluelessWorld {
       nl_zone.add({dns::Name::parse("test.nl"), dns::RRClass::IN, 86400,
                    dns::NsRdata{
                        dns::Name::parse("ns" + std::to_string(i) + ".farm")}});
+    }
+    if (silent_farm) {
+      nl_zone.add({dns::Name::parse("other.nl"), dns::RRClass::IN, 86400,
+                   dns::NsRdata{dns::Name::parse("ns5.farm")}});
     }
 
     authns::Zone test_zone{dns::Name::parse("test.nl")};
@@ -356,7 +370,7 @@ struct GluelessWorld {
     };
     root = server("root", "IAD", root_addr);
     root->add_zone(std::move(root_zone));
-    root->add_zone(std::move(farm_zone));
+    if (!silent_farm) root->add_zone(std::move(farm_zone));
     root->start();
     tld = server("nl-tld", "AMS", tld_addr);
     tld->add_zone(std::move(nl_zone));
@@ -412,6 +426,123 @@ TEST(ResolverPipeline, FetchBudgetIsPerLogicalResolutionNotPerWaiter) {
   EXPECT_GT(solo, 0u);
   EXPECT_LE(solo, 2u);
   EXPECT_EQ(solo, trio);
+}
+
+TEST(ResolverPipeline, DeadlineFinishesAJobParkedOnSilentFetchesOnce) {
+  // The parent parks on four NS-address fetches that never get an answer.
+  // Its deadline fires first: the resolution fails exactly once, every
+  // coalesced waiter hears it once, and the fetches — finished later by
+  // their own deadlines — step neither the parent nor the job that took
+  // over its slot.
+  ResolverConfig cfg = pipelined(/*inflight=*/8);
+  cfg.max_resolution_time = net::Duration::seconds(3);
+  GluelessWorld world{cfg, /*silent_farm=*/true};
+  world.sim.trace().set_enabled(true);
+  const auto ask = [&](const char* name, std::vector<ResolveOutcome>& sink) {
+    world.resolver->resolve(
+        dns::Question{dns::Name::parse(name), dns::RRType::TXT,
+                      dns::RRClass::IN},
+        [&sink](const ResolveOutcome& o) { sink.push_back(o); });
+  };
+  std::vector<ResolveOutcome> parent;
+  for (int i = 0; i < 3; ++i) ask("abc.test.nl", parent);
+  const net::SimTime parent_deadline =
+      net::SimTime::origin() + cfg.max_resolution_time;
+  world.sim.run_until(parent_deadline);
+  ASSERT_EQ(parent.size(), 3u);
+  const auto counter = [&](std::string_view name) {
+    return world.sim.metrics().snapshot().counter_value(name);
+  };
+  EXPECT_EQ(counter(obs::names::kResolverFetchSpawned), 4u);
+  EXPECT_EQ(counter(obs::names::kResolverDeadlineExpired), 1u);
+
+  // Started now, this resolution takes the parent's freed slot (the only
+  // free one) and parks on a fetch of its own, for ns5.farm. The parent's
+  // fetches land while it waits; they must not count for it.
+  std::vector<ResolveOutcome> reuse;
+  ask("xyz.other.nl", reuse);
+  world.sim.run();
+
+  for (const auto& o : parent) {
+    EXPECT_EQ(o.rcode, dns::Rcode::ServFail);
+    EXPECT_EQ(o.elapsed, cfg.max_resolution_time);
+  }
+  ASSERT_EQ(reuse.size(), 1u);
+  EXPECT_EQ(reuse[0].rcode, dns::Rcode::ServFail);
+  EXPECT_EQ(reuse[0].elapsed, cfg.max_resolution_time);
+  // The fetches outlived the parent and failed by their own deadlines.
+  std::size_t parent_servfails = 0;
+  std::size_t late_fetch_servfails = 0;
+  std::size_t reuse_steps = 0;
+  for (const auto& e : world.sim.trace().events()) {
+    if (e.actor != world.resolver->name()) continue;
+    if (e.subject == "abc.test.nl.") {
+      EXPECT_LE(e.at, parent_deadline) << "the parent was stepped again";
+      if (e.kind == obs::TraceKind::Servfail) ++parent_servfails;
+    } else if (e.subject == "xyz.other.nl." &&
+               e.kind == obs::TraceKind::CacheMiss) {
+      ++reuse_steps;
+    } else if (e.kind == obs::TraceKind::Servfail &&
+               e.subject.ends_with(".farm.") && e.at > parent_deadline) {
+      ++late_fetch_servfails;
+    }
+  }
+  EXPECT_EQ(parent_servfails, 1u);
+  EXPECT_GE(late_fetch_servfails, 4u);
+  // One step sent it to nl.; it then waited, unstepped, for ns5.farm.
+  EXPECT_EQ(reuse_steps, 1u);
+  EXPECT_EQ(world.resolver->inflight_resolutions(), 0u);
+  EXPECT_EQ(world.sim.pending(), 0u);
+}
+
+TEST(ResolverPipeline, LateReplyOfAFinishedJobStillFeedsSrtt) {
+  // The deadline is shorter than the root's round trip, so the first
+  // resolution fails while its query to the root is in flight. A second
+  // resolution of the same name, started in that window with the test.nl
+  // delegation cached, sends the same qname to the nearby authoritative.
+  // Both transmissions are live on one qname at once: each reply must
+  // reach its own, the late root reply must still update the root's SRTT,
+  // and the second resolution must complete untouched.
+  ResolverConfig cfg;
+  cfg.max_resolution_time = net::Duration::millis(40);
+  PipeWorld world{cfg};
+  std::vector<ResolveOutcome> first;
+  world.issue("late.test.nl", first);
+  world.sim.run_until(net::SimTime::origin() + net::Duration::millis(45));
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].rcode, dns::Rcode::ServFail);
+  EXPECT_EQ(first[0].upstream_queries, 1);
+  // Selection seeded the root's entry; its reply is still in flight.
+  const ServerStats* root =
+      world.resolver->infra().get(world.root_addr, world.sim.now());
+  ASSERT_NE(root, nullptr);
+  const net::SimTime seeded_at = root->last_update;
+  ASSERT_LT(seeded_at, world.sim.now());
+
+  std::vector<dns::ResourceRecord> delegation{
+      {dns::Name::parse("test.nl"), dns::RRClass::IN, 86400,
+       dns::NsRdata{dns::Name::parse("ns1.test.nl")}},
+      {dns::Name::parse("ns1.test.nl"), dns::RRClass::IN, 86400,
+       dns::ARdata{world.auth_addr}}};
+  dns::for_each_rrset(delegation, [&](dns::RRset&& set) {
+    world.resolver->cache().put(std::move(set), world.sim.now());
+  });
+  std::vector<ResolveOutcome> second;
+  world.issue("late.test.nl", second);
+  world.sim.run();
+
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].rcode, dns::Rcode::NoError);
+  EXPECT_EQ(second[0].upstream_queries, 1);
+  ASSERT_EQ(second[0].answers.size(), 1u);
+  EXPECT_EQ(*second[0].answers[0].rdata().txt().begin(), "A1");
+  root = world.resolver->infra().get(world.root_addr, world.sim.now());
+  ASSERT_NE(root, nullptr);
+  EXPECT_GT(root->last_update, net::SimTime::origin() + net::Duration::millis(45))
+      << "the late root reply did not reach the infra cache";
+  EXPECT_EQ(world.counter(obs::names::kResolverUpstreamTimeouts), 0u);
+  EXPECT_EQ(world.counter(obs::names::kResolverDeadlineExpired), 1u);
+  EXPECT_EQ(world.sim.pending(), 0u);
 }
 
 // --- sharded campaign determinism with pipelined resolvers ----------------
