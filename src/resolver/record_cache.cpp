@@ -133,6 +133,7 @@ void RecordCache::insert(CacheEntry entry, net::SimTime now) {
     touch(id);
     return;
   }
+  if (size_ >= sweep_at_) sweep(now);
   while (size_ >= config_.max_entries && lru_tail_ != kNone) evict_one(now);
 
   SlotId id = free_head_;
@@ -191,14 +192,26 @@ void RecordCache::erase_at(std::size_t pos) {
   --size_;
 }
 
-void RecordCache::evict_one(net::SimTime now) {
-  const Slot& victim = slot(lru_tail_);
+std::size_t RecordCache::pos_of(SlotId id) const noexcept {
   const std::size_t mask = index_.size() - 1;
-  std::size_t pos = home(victim.hash);
-  while (index_[pos].slot != lru_tail_) pos = (pos + 1) & mask;
-  erase_at(pos);
+  std::size_t pos = home(slot(id).hash);
+  while (index_[pos].slot != id) pos = (pos + 1) & mask;
+  return pos;
+}
+
+void RecordCache::evict_one(net::SimTime now) {
+  erase_at(pos_of(lru_tail_));
   ++evictions_;
   if (obs_evictions_ != nullptr) obs_evictions_->add(1, now);
+}
+
+void RecordCache::sweep(net::SimTime now) {
+  for (SlotId id = lru_head_; id != kNone;) {
+    const SlotId next = slot(id).next;  // erase_at relinks the slot
+    if (slot(id).entry.expires_at <= now) erase_at(pos_of(id));
+    id = next;
+  }
+  sweep_at_ = std::max(kMinSweepAt, 2 * size_);
 }
 
 void RecordCache::attach_metrics(obs::MetricRegistry& registry) {
@@ -225,6 +238,7 @@ void RecordCache::clear() {
   index_ = std::vector<Bucket>{};
   shift_ = 32;
   size_ = 0;
+  sweep_at_ = kMinSweepAt;
   free_head_ = lru_head_ = lru_tail_ = kNone;
 }
 

@@ -16,6 +16,15 @@
 // key hash, so a probe compares slots only when the hashes agree and a miss
 // never reads a slot. Erasing shifts later buckets back, so the index holds
 // no tombstones.
+//
+// Expiry: a lookup erases the expired entry it finds, but a probe's unique
+// label is never looked up again, so insert also sweeps. When a new key
+// finds the size at twice what the last sweep left (at least 16, the
+// index's first size), one walk of the LRU list erases every entry expired
+// at that instant, in amortized O(1) per insert; freed slots are reused.
+// A sweep removes only entries a lookup would miss and keeps the LRU order
+// of the rest, so below max_entries it changes no lookup, hit, miss or
+// eviction: only size() and bytes() fall.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +57,8 @@ struct CacheEntry {
 /// RRset and the TTL remaining on it. Empty on miss/expired/negative. Valid
 /// until the entry leaves the cache: do not hold it across put,
 /// put_negative, clear, or a later lookup of the same (name, type). Lookups
-/// of other keys keep it valid, even one that erases an expired entry.
+/// of other keys keep it valid, even one that erases an expired entry, and
+/// a sweep erases only entries expired at the sweeping put's time.
 struct CacheHit {
   const dns::RRset* rrset = nullptr;
   dns::Ttl ttl = 0;  // remaining at lookup time; rrset->ttl is the stored one
@@ -150,7 +160,11 @@ class RecordCache {
   /// Drops the entry at index position `pos` from the index, the LRU list
   /// and the slab.
   void erase_at(std::size_t pos);
+  /// Index position of the entry in slot `id`.
+  [[nodiscard]] std::size_t pos_of(SlotId id) const noexcept;
   void evict_one(net::SimTime now);
+  /// Erases every entry expired at `now` and sets the next sweep's size.
+  void sweep(net::SimTime now);
   void place(SlotId id, std::uint32_t hash);
   void grow_index();
   /// Moves the entry to the front of the LRU list.
@@ -160,6 +174,7 @@ class RecordCache {
 
   static constexpr std::size_t kNotFound = ~std::size_t{0};
   static constexpr SlotId kChunkSlots = 16;
+  static constexpr std::size_t kMinSweepAt = 16;
 
   RecordCacheConfig config_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
@@ -167,6 +182,7 @@ class RecordCache {
   std::vector<Bucket> index_;  // size a power of two (or 0), load <= 3/4
   unsigned shift_ = 32;        // home(hash) = hash >> shift_
   std::size_t size_ = 0;
+  std::size_t sweep_at_ = kMinSweepAt;  // a new key at this size sweeps
   SlotId free_head_ = kNone;
   SlotId lru_head_ = kNone;  // most recently used
   SlotId lru_tail_ = kNone;  // next eviction victim

@@ -248,10 +248,16 @@ TEST(RecordCache, HitSurvivesALookupThatErasesAnotherExpiredEntry) {
 }
 
 // The cache as it was built on std::unordered_map + std::list, kept as the
-// reference the slab cache must match result for result.
+// reference the slab cache must match result for result. It sweeps expired
+// entries by the slab cache's rule unless built with Sweep::kNever, which
+// keeps them until a lookup finds them, as the cache once did.
 class ReferenceCache {
  public:
-  explicit ReferenceCache(RecordCacheConfig config) : config_(config) {}
+  enum class Sweep { kAtDoubling, kNever };
+
+  explicit ReferenceCache(RecordCacheConfig config,
+                          Sweep sweep = Sweep::kAtDoubling)
+      : config_(config), sweep_(sweep) {}
 
   std::optional<std::pair<dns::RRset, dns::Ttl>> get(const dns::Name& name,
                                                      dns::RRType type,
@@ -289,7 +295,7 @@ class ReferenceCache {
     entry.rrset = rrset;
     entry.rrset.ttl = std::clamp(rrset.ttl, config_.min_ttl, config_.max_ttl);
     entry.expires_at = now + net::Duration::seconds(entry.rrset.ttl);
-    insert(Key{rrset.name, rrset.type}, std::move(entry));
+    insert(Key{rrset.name, rrset.type}, std::move(entry), now);
   }
 
   void put_negative(const dns::Name& name, dns::RRType type,
@@ -302,12 +308,13 @@ class ReferenceCache {
     entry.expires_at =
         now + net::Duration::seconds(
                   std::clamp(ttl, config_.min_ttl, config_.max_ttl));
-    insert(Key{name, type}, std::move(entry));
+    insert(Key{name, type}, std::move(entry), now);
   }
 
   void clear() {
     entries_.clear();
     lru_.clear();
+    sweep_at_ = 16;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -346,12 +353,24 @@ class ReferenceCache {
     return &it->second.entry;
   }
 
-  void insert(Key key, CacheEntry entry) {
+  void insert(Key key, CacheEntry entry, net::SimTime now) {
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       it->second.entry = std::move(entry);
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       return;
+    }
+    if (sweep_ == Sweep::kAtDoubling && entries_.size() >= sweep_at_) {
+      for (auto pos = lru_.begin(); pos != lru_.end();) {
+        const auto found = entries_.find(*pos);
+        if (found->second.entry.expires_at > now) {
+          ++pos;
+          continue;
+        }
+        entries_.erase(found);
+        pos = lru_.erase(pos);
+      }
+      sweep_at_ = std::max<std::size_t>(16, 2 * entries_.size());
     }
     while (entries_.size() >= config_.max_entries) {
       entries_.erase(lru_.back());
@@ -363,6 +382,8 @@ class ReferenceCache {
   }
 
   RecordCacheConfig config_;
+  Sweep sweep_;
+  std::size_t sweep_at_ = 16;
   std::unordered_map<Key, Slot, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recent
   std::uint64_t hits_ = 0;
@@ -380,16 +401,22 @@ void expect_same_set(const dns::RRset& got, const dns::RRset& want,
       << where;
 }
 
-TEST(RecordCache, MatchesTheMapAndListReference) {
+/// Runs 60 seeded streams of 3,000 random operations on the slab cache and
+/// on `reference` in step, and checks every lookup result and the hit, miss
+/// and eviction counts after each operation. With the sweeping reference
+/// the sizes must match too; the never-sweeping one only bounds them.
+/// Counts in `smaller` the operations that left the slab cache smaller.
+void run_against(ReferenceCache::Sweep reference, std::uint64_t& smaller) {
   // A pool of names, each spelt in random case per operation, so keys
-  // collide across spellings; a tiny capacity keeps evictions and slot
-  // reuse constant, and short TTLs make lazy expiry-erase frequent.
+  // collide across spellings; short TTLs make expiry frequent, both as
+  // erase-on-lookup and in sweeps.
   static constexpr const char* kNames[] = {
       "a.nl", "b.nl", "www.a.nl", "ns1.dns.nl", "x.example", "nl",
       "c.b.a.nl", "q1x2.ourtestdomain.nl", "y.example", "z.example",
       "deep.er.name.example", "m.nl"};
   static constexpr dns::RRType kTypes[] = {dns::RRType::A, dns::RRType::AAAA,
                                            dns::RRType::NS, dns::RRType::TXT};
+  const bool same_rule = reference == ReferenceCache::Sweep::kAtDoubling;
   std::uint64_t checked = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     std::mt19937_64 gen{seed};
@@ -403,11 +430,14 @@ TEST(RecordCache, MatchesTheMapAndListReference) {
       return dns::Name::parse(s);
     };
     RecordCacheConfig cfg;
-    // Mostly tiny; every third run large enough to grow the index.
+    // The sweeping reference: mostly tiny, so evictions and slot reuse are
+    // constant; every third run large enough to grow the index and sweep.
+    // The never-sweeping one: a cap no run reaches, as in a campaign.
     cfg.max_entries = seed % 3 == 0 ? 60 + pick(100) : 1 + pick(6);
+    if (!same_rule) cfg.max_entries = 1'000'000;
     cfg.max_ttl = 6;
     RecordCache cache{cfg};
-    ReferenceCache ref{cfg};
+    ReferenceCache ref{cfg, reference};
     double now_s = 0;
     for (int op = 0; op < 3'000; ++op) {
       now_s += double(pick(4)) * 0.5;
@@ -471,14 +501,96 @@ TEST(RecordCache, MatchesTheMapAndListReference) {
           }
           break;
       }
-      ASSERT_EQ(cache.size(), ref.size()) << where;
+      if (same_rule) {
+        ASSERT_EQ(cache.size(), ref.size()) << where;
+      } else {
+        ASSERT_LE(cache.size(), ref.size()) << where;
+      }
       ASSERT_EQ(cache.hits(), ref.hits()) << where;
       ASSERT_EQ(cache.misses(), ref.misses()) << where;
       ASSERT_EQ(cache.evictions(), ref.evictions()) << where;
+      if (cache.size() < ref.size()) ++smaller;
       ++checked;
     }
   }
   EXPECT_EQ(checked, 60u * 3'000u);
+}
+
+TEST(RecordCache, MatchesTheMapAndListReference) {
+  std::uint64_t smaller = 0;
+  run_against(ReferenceCache::Sweep::kAtDoubling, smaller);
+}
+
+TEST(RecordCache, SweepChangesNoLookupBelowTheCap) {
+  // Against a reference that never sweeps, only size() may differ: every
+  // lookup, hit, miss and eviction (none) is the same.
+  std::uint64_t smaller = 0;
+  run_against(ReferenceCache::Sweep::kNever, smaller);
+  EXPECT_GT(smaller, 0u);  // the sweep did run
+}
+
+TEST(RecordCache, ExpiredEntriesAreReclaimed) {
+  // A campaign's pattern: unique TTL-5 probe answers, 20 per simulated
+  // second, next to a few long-TTL NS sets that stay live throughout.
+  RecordCache cache;
+  const auto ns_set = [](const std::string& zone) {
+    dns::RRset ns;
+    ns.name = dns::Name::parse(zone);
+    ns.type = dns::RRType::NS;
+    ns.ttl = 86'400;
+    for (const char* host : {"ns1.dns.nl", "ns2.dns.nl"}) {
+      ns.add(wire_of(dns::NsRdata{dns::Name::parse(host)}));
+    }
+    return ns;
+  };
+  static constexpr const char* kZones[] = {"nl", "dns.nl",
+                                           "ourtestdomain.nl"};
+  for (const char* zone : kZones) cache.put(ns_set(zone), at_s(0));
+
+  constexpr int kPuts = 20'000;
+  constexpr int kPerSecond = 20;
+  // Live at any instant: the probe answers of the last 5 s, and the NS sets.
+  constexpr std::size_t kPeakLive = 5 * kPerSecond + std::size(kZones);
+  std::size_t bytes_after_warmup = 0;
+  std::size_t sweeps = 0;
+  for (int i = 0; i < kPuts; ++i) {
+    const net::SimTime now = at_s(double(i) / kPerSecond);
+    // Borrowed before a put that may sweep; the set is live at `now`.
+    const CacheHit held = cache.get(dns::Name::parse("dns.nl"),
+                                    dns::RRType::NS, now);
+    ASSERT_TRUE(held);
+    const dns::RRset* before = held.rrset;
+    const std::size_t size_before = cache.size();
+    dns::RRset probe{
+        dns::Name::parse("p" + std::to_string(i) + ".ourtestdomain.nl"),
+        dns::RRClass::IN, dns::RRType::TXT, 5, {}};
+    probe.add(wire_of(dns::TxtRdata{{"FRA"}}));
+    cache.put(std::move(probe), now);
+    if (cache.size() <= size_before) {
+      ++sweeps;
+      ASSERT_EQ(held.rrset, before);
+      ASSERT_EQ(held.rrset->size(), 2u);
+      EXPECT_EQ((*std::next(held.rrset->begin(), 1)).target(),
+                dns::Name::parse("ns2.dns.nl"));
+    }
+    ASSERT_LE(cache.size(), 2 * kPeakLive + 16) << "put " << i;
+    if (i == kPuts / 4) bytes_after_warmup = cache.bytes();
+    // Past warm-up the slab, the index and the chunk table stop growing.
+    if (i > kPuts / 4) {
+      ASSERT_EQ(cache.bytes(), bytes_after_warmup) << "put " << i;
+    }
+  }
+  EXPECT_GT(sweeps, 100u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  const net::SimTime end = at_s(double(kPuts) / kPerSecond);
+  for (const char* zone : kZones) {
+    const CacheHit hit =
+        cache.get(dns::Name::parse(zone), dns::RRType::NS, end);
+    ASSERT_TRUE(hit) << zone;
+    EXPECT_EQ(hit.rrset->size(), 2u) << zone;
+    EXPECT_EQ(hit.rrset->front().target(), dns::Name::parse("ns1.dns.nl"))
+        << zone;
+  }
 }
 
 }  // namespace
